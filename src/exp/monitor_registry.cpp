@@ -18,6 +18,7 @@
 #include "core/ordered_topk_monitor.hpp"
 #include "core/slack_roles.hpp"
 #include "core/recompute_monitor.hpp"
+#include "core/recompute_roles.hpp"
 #include "core/slack_monitor.hpp"
 #include "core/topk_monitor.hpp"
 
@@ -298,6 +299,18 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     pair.nodes.reserve(cluster.size());
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<MultiKNode>(ks));
+    }
+    pair.native = true;
+    return pair;
+  }
+
+  if (parsed.name == "recompute") {
+    RecomputeCoordinator::Options o;
+    o.suppress_idle_broadcasts = parse_nobeacon_only(parsed);
+    pair.coordinator = std::make_unique<RecomputeCoordinator>(k, o);
+    pair.nodes.reserve(cluster.size());
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      pair.nodes.push_back(std::make_unique<RecomputeNode>());
     }
     pair.native = true;
     return pair;

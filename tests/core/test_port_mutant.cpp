@@ -1,15 +1,15 @@
-// Property test for the differential harness itself: the harness only
-// proves equivalence if it would *fail* on an inequivalent port. The
-// slack role port carries a test-only `?nudge=<v>` mutation knob that
-// shifts every applied filter boundary by `v` value units — the classic
-// off-by-one porting bug. The harness comparison (messages by kind,
-// per-step series, counters, error pattern) must flag the mutant
+// Property test for the equivalence checks themselves: they only prove
+// equivalence if they would *fail* on an inequivalent port. The slack
+// role port carries a test-only `?nudge=<v>` mutation knob that shifts
+// every applied filter boundary by `v` value units — the classic
+// off-by-one porting bug. The mutant must be flagged
 //
-//   * against the lock-step oracle under the instant network, and
-//   * against the clean native port under every scheduled network
-//     policy (where no lock-step twin exists),
+//   * against the golden digest recorded from the lock-step oracle
+//     (instant network), and
+//   * against the clean native port under every network policy (where
+//     no golden exists), by the full run comparison,
 //
-// pinning that the comparison has teeth on each policy rather than
+// pinning that the comparisons have teeth on each policy rather than
 // vacuously passing on dimensions a policy happens not to exercise.
 #include <gtest/gtest.h>
 
@@ -20,35 +20,32 @@
 namespace topkmon {
 namespace {
 
-using harness::Shape;
+using harness::digest;
+using harness::first_difference;
+using harness::golden_of;
+using harness::golden_stream;
+using harness::GoldenKey;
 using harness::results_identical;
-using harness::run_lockstep;
 using harness::run_native;
 
-constexpr Shape kShape{16, 4};
+// The golden reference run is slack on "dense_walk": a ±1 boundary error
+// is only observable when values actually visit the integers next to a
+// boundary. The default walk jumps ~128 transformed units per step and
+// sails straight over a one-unit shift; this slow unit-step walk in a
+// compressed range crawls *through* every boundary it crosses, so the
+// off-by-one flips real filter decisions.
+constexpr harness::Shape kShape{16, 4};
 constexpr std::uint64_t kSeed = 5;
 constexpr std::size_t kSteps = 600;
 
-// A ±1 boundary error is only observable when values actually visit the
-// integers next to a boundary. The default walk jumps ~128 transformed
-// units per step and sails straight over a one-unit shift; this slow
-// unit-step walk in a compressed range crawls *through* every boundary
-// it crosses, so the off-by-one flips real filter decisions.
-StreamSpec dense_walk() {
-  StreamSpec stream;
-  stream.family = StreamFamily::kRandomWalk;
-  stream.walk.max_step = 1;
-  stream.walk.hi = 300;
-  return stream;
-}
-
 TEST(PortMutant, HarnessCatchesMutantAgainstLockstepOracle) {
-  const auto oracle =
-      run_lockstep("slack", dense_walk(), kShape, kSeed, kSteps);
-  const auto mutant =
-      run_native("slack?nudge=1", dense_walk(), kShape, kSeed, kSteps);
-  EXPECT_FALSE(results_identical(oracle, mutant))
-      << "an off-by-one boundary survived the differential comparison";
+  const auto& golden = golden_of("mutant");
+  GoldenKey mutant = golden.key;
+  mutant.spec = "slack?nudge=1";
+  const std::string actual = digest(mutant);
+  EXPECT_FALSE(first_difference(golden.line, actual).empty())
+      << "an off-by-one boundary survived the golden comparison:\n  "
+      << actual;
 }
 
 TEST(PortMutant, HarnessCatchesMutantOnEveryNetworkPolicy) {
@@ -56,11 +53,11 @@ TEST(PortMutant, HarnessCatchesMutantOnEveryNetworkPolicy) {
        {"instant", "delay=2", "jitter=2", "drop=0.02"}) {
     SCOPED_TRACE(network);
     const auto clean =
-        run_native("slack", dense_walk(), kShape, kSeed, kSteps,
-                   RunConfig::Validation::kWeak, network);
+        run_native("slack", golden_stream("dense_walk"), kShape, kSeed,
+                   kSteps, RunConfig::Validation::kWeak, network);
     const auto mutant =
-        run_native("slack?nudge=1", dense_walk(), kShape, kSeed, kSteps,
-                   RunConfig::Validation::kWeak, network);
+        run_native("slack?nudge=1", golden_stream("dense_walk"), kShape,
+                   kSeed, kSteps, RunConfig::Validation::kWeak, network);
     EXPECT_FALSE(results_identical(clean, mutant))
         << "mutant indistinguishable from the clean port under " << network;
   }
@@ -69,10 +66,14 @@ TEST(PortMutant, HarnessCatchesMutantOnEveryNetworkPolicy) {
 TEST(PortMutant, CleanPortStillPassesTheSameComparison) {
   // Control arm: the exact comparison that catches the mutant must hold
   // for the unperturbed port, or the property above proves nothing.
-  const auto oracle =
-      run_lockstep("slack", dense_walk(), kShape, kSeed, kSteps);
-  const auto native = run_native("slack", dense_walk(), kShape, kSeed, kSteps);
-  EXPECT_TRUE(results_identical(oracle, native));
+  const auto& golden = golden_of("mutant");
+  ASSERT_EQ(golden.key.spec, "slack");
+  ASSERT_EQ(golden.key.n, kShape.n);
+  ASSERT_EQ(golden.key.seed, kSeed);
+  ASSERT_EQ(golden.key.steps, kSteps);
+  const std::string actual = digest(golden.key);
+  EXPECT_EQ(first_difference(golden.line, actual), "")
+      << "  actual: " << actual;
 }
 
 }  // namespace

@@ -1,101 +1,51 @@
 // The load-bearing guarantee of the role-separated redesign: under the
-// instant NetworkSpec, the native event-driven implementations are
-// *byte-identical* to their lock-step MonitorBase counterparts — same
-// messages of every kind in every step, same protocol coin flips, same
-// answers, same algorithm-event counters. This is what lets every
-// pre-redesign experiment suite reproduce its numbers exactly through
-// the Scenario path. The comparison machinery lives in the shared
-// differential harness (role_port_harness.hpp), which also proves the
-// five later ports (test_role_ports.cpp) — one standard for the zoo.
+// instant NetworkSpec, the native event-driven implementations reproduce
+// what their lock-step MonitorBase twins did — same messages of every
+// kind in every step, same answers, same algorithm-event counters. The
+// twins are retired; their runs over this grid are frozen as golden
+// digests (tests/data/role_port_goldens.txt, recorded only where twin and
+// port agreed), and every line here was an exact run: no error step.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "role_port_harness.hpp"
 
 namespace topkmon {
 namespace {
 
-using harness::Shape;
-using harness::expect_identical;
-using harness::run_lockstep;
+using harness::expect_goldens;
 using harness::run_native;
 
-void expect_identical_and_correct(const RunResult& lockstep,
-                                  const RunResult& native,
-                                  const std::string& label) {
-  // The monitors below are exact on the instant network: beyond twin
-  // identity, both runs must match the ground truth at every step.
-  EXPECT_TRUE(lockstep.correct) << label;
-  EXPECT_TRUE(native.correct) << label;
-  expect_identical(lockstep, native, label);
-}
-
 TEST(RoleEquivalence, FilterMonitorMatchesLockstepAcrossShapes) {
-  const std::vector<Shape> shapes{{8, 2}, {16, 4}, {16, 1}, {16, 15}, {5, 5}};
-  const std::vector<std::string> families{"random_walk", "iid_uniform",
-                                          "rotating_max", "bursty"};
-  for (const Shape s : shapes) {
-    for (const std::string& family : families) {
-      for (const std::uint64_t seed : {1ull, 7ull}) {
-        const auto lockstep =
-            run_lockstep("topk_filter", family, s, seed, 300);
-        const auto native = run_native("topk_filter", family, s, seed, 300);
-        expect_identical_and_correct(
-            lockstep, native,
-            "topk_filter n=" + std::to_string(s.n) + " k=" +
-                std::to_string(s.k) + " fam=" + family + " seed=" +
-                std::to_string(seed));
-      }
-    }
-  }
+  // Shapes {8,2}, {16,4}, {16,1}, {16,15}, {5,5} × random_walk,
+  // iid_uniform, rotating_max, bursty × seeds {1, 7}, 300 steps.
+  expect_goldens("filter_shapes", /*exact=*/true);
 }
 
 TEST(RoleEquivalence, FilterMonitorMatchesLockstepWithBeaconSuppression) {
-  const Shape s{24, 4};
-  for (const std::string family : {"random_walk", "iid_uniform"}) {
-    const auto lockstep =
-        run_lockstep("topk_filter?nobeacon", family, s, 11, 400);
-    const auto native = run_native("topk_filter?nobeacon", family, s, 11, 400);
-    expect_identical_and_correct(lockstep, native, "nobeacon fam=" + family);
-  }
+  expect_goldens("filter_nobeacon", /*exact=*/true);
 }
 
 TEST(RoleEquivalence, NaiveVariantsMatchLockstep) {
-  const Shape s{12, 3};
-  for (const std::string spec : {"naive", "naive_chg"}) {
-    for (const std::string family : {"random_walk", "sinusoidal"}) {
-      const auto lockstep = run_lockstep(spec, family, s, 3, 250);
-      const auto native = run_native(spec, family, s, 3, 250);
-      expect_identical_and_correct(lockstep, native,
-                                   spec + " fam=" + family);
-    }
-  }
+  expect_goldens("naive_variants", /*exact=*/true);
 }
 
 TEST(RoleEquivalence, FormerAdapterMonitorsNowRunNativeAndMatch) {
-  // Before the five-port PR these bridged through LockstepAdapter; the
-  // same twin comparison now exercises their native role pairs (the
-  // deep per-port grids live in test_role_ports.cpp). `recompute` stays
-  // the adapter-backed reference, pinning that the bridge still works.
-  const Shape s{16, 4};
-  for (const std::string spec :
-       {"recompute", "slack", "dominance", "ordered", "approx?eps=64"}) {
-    const auto lockstep = run_lockstep(spec, "random_walk", s, 5, 200);
-    const auto native = run_native(spec, "random_walk", s, 5, 200);
-    expect_identical_and_correct(lockstep, native, spec);
-  }
+  // recompute, slack, dominance, ordered and approx?eps=64 — the
+  // monitors that once bridged through the lock-step adapter.
+  expect_goldens("former_adapter", /*exact=*/true);
 }
 
-TEST(RoleEquivalence, ScenarioRejectsAdapterMonitorsOnLossyNetworks) {
-  exp::Scenario sc;
-  sc.monitor = "recompute";
-  sc.n = 8;
-  sc.k = 2;
-  sc.steps = 10;
-  sc.network = parse_network_spec("delay=1");
-  EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);
+TEST(RoleEquivalence, RecomputeRunsNativelyOnLossyNetworks) {
+  // The last lock-step-only monitor is native now: a delayed network no
+  // longer rejects it, and it still answers every step.
+  const auto r =
+      run_native("recompute", "random_walk", {8, 2}, 1, 60,
+                 RunConfig::Validation::kWeak, "delay=1");
+  EXPECT_EQ(r.steps_executed, 61u);
+  EXPECT_EQ(r.monitor_name, "recompute");
+  EXPECT_GT(r.comm.total(), 0u);
 }
 
 }  // namespace

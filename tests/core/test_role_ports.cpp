@@ -1,12 +1,11 @@
-// The tentpole proof of the five-port PR: slack, dominance, approx,
-// multi_k and ordered run as native CoordinatorAlgo/NodeAlgo role pairs
-// and are message-for-message and coin-flip-identical to their lock-step
-// MonitorBase twins under the instant network, across a stream-family ×
-// shape × seed grid — then run green under scheduled networks
-// (delay / jitter / drop), byte-identically under --workers 8, and
-// through a light e19-style churn plan. The three pre-existing ports
-// (topk_filter, naive, naive_chg) re-run through the same shared
-// harness so one comparison standard covers the whole zoo.
+// Every native role port against its frozen lock-step goldens: slack,
+// dominance, approx, multi_k, ordered, recompute and the filter/naive
+// ports replay the stream-family × shape × seed grid their lock-step
+// twins were recorded on (tests/data/role_port_goldens.txt) and must
+// reproduce every digest — messages, counters, answers, errors and, for
+// the parity lines, the coin flips. The ports then run green under
+// scheduled networks (delay / jitter / drop), byte-identically under
+// --workers 8, and through a light e19-style churn plan.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,100 +16,64 @@
 namespace topkmon {
 namespace {
 
-using harness::Shape;
+using harness::expect_goldens;
 using harness::expect_identical;
-using harness::expect_twin_lockstep_parity;
 using harness::results_identical;
-using harness::run_lockstep;
 using harness::run_native;
 
-std::string label(const std::string& spec, Shape s, const std::string& family,
-                  std::uint64_t seed) {
-  return spec + " n=" + std::to_string(s.n) + " k=" + std::to_string(s.k) +
-         " fam=" + family + " seed=" + std::to_string(seed);
-}
-
-void expect_grid_equivalence(const std::vector<std::string>& specs,
-                             const std::vector<Shape>& shapes,
-                             std::size_t steps = 250) {
-  const std::vector<std::string> families{"random_walk", "iid_uniform",
-                                          "bursty"};
-  for (const std::string& spec : specs) {
-    for (const Shape s : shapes) {
-      for (const std::string& family : families) {
-        for (const std::uint64_t seed : {1ull, 7ull}) {
-          const auto lockstep = run_lockstep(spec, family, s, seed, steps);
-          const auto native = run_native(spec, family, s, seed, steps);
-          expect_identical(lockstep, native, label(spec, s, family, seed));
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Instant-network differential equivalence, port by port
+// Instant-network equivalence with the recorded twins, port by port
 // ---------------------------------------------------------------------------
 
-TEST(RolePorts, SlackMatchesLockstepAcrossGrid) {
-  expect_grid_equivalence({"slack", "slack?alpha=0.05", "slack?adaptive"},
-                          {{16, 4}, {12, 3}});
-}
+TEST(RolePorts, SlackMatchesLockstepAcrossGrid) { expect_goldens("slack_grid"); }
 
 TEST(RolePorts, DominanceMatchesLockstepAcrossGrid) {
-  expect_grid_equivalence({"dominance"}, {{16, 4}, {9, 2}});
+  expect_goldens("dominance_grid");
 }
 
 TEST(RolePorts, ApproxMatchesLockstepAcrossGrid) {
-  expect_grid_equivalence({"approx?eps=0", "approx?eps=64", "approx?eps=2000"},
-                          {{16, 4}});
+  expect_goldens("approx_grid");
 }
 
 TEST(RolePorts, MultiKMatchesLockstepAcrossGrid) {
-  expect_grid_equivalence({"multi_k", "multi_k?ks=2+8", "multi_k?ks=1+4+12"},
-                          {{16, 4}});
+  expect_goldens("multik_grid");
 }
 
 TEST(RolePorts, OrderedMatchesLockstepAcrossGrid) {
-  expect_grid_equivalence({"ordered"}, {{16, 4}, {10, 5}});
+  expect_goldens("ordered_grid");
+}
+
+TEST(RolePorts, RecomputeMatchesLockstepAcrossGrid) {
+  // The last port: recompute and recompute?nobeacon over the standard
+  // shapes plus k == n and k == 1.
+  expect_goldens("recompute_grid", /*exact=*/true);
 }
 
 TEST(RolePorts, ExistingPortsStillMatchThroughSharedHarness) {
-  expect_grid_equivalence({"topk_filter", "naive", "naive_chg"}, {{16, 4}});
+  expect_goldens("existing_grid");
 }
 
 TEST(RolePorts, DegenerateShapesMatch) {
   // k == n (no outsiders), k == 1 (no order structure to maintain), and
   // tiny n exercise every port's boundary-free and single-band paths.
-  expect_grid_equivalence({"slack", "dominance", "ordered", "approx?eps=64"},
-                          {{6, 6}, {8, 1}}, 150);
-  expect_grid_equivalence({"multi_k?ks=1+8"}, {{8, 1}}, 150);
+  expect_goldens("degenerate");
 }
 
 TEST(RolePorts, BeaconSuppressionVariantsMatch) {
-  expect_grid_equivalence({"ordered?nobeacon", "multi_k?ks=2+8,nobeacon",
-                           "approx?eps=64,nobeacon"},
-                          {{16, 4}}, 200);
+  expect_goldens("nobeacon_grid");
 }
 
 // ---------------------------------------------------------------------------
-// Coin-flip identity: per-step answers + final RNG state of every node
+// Coin-flip identity: per-step answers (rank order included) + one draw
+// from every node RNG and the coordinator RNG
 // ---------------------------------------------------------------------------
 
-TEST(RolePorts, TwinDriveProvesAnswerAndRngParity) {
-  const Shape s{16, 4};
-  for (const std::string spec :
-       {"topk_filter", "naive", "naive_chg", "slack", "slack?adaptive",
-        "dominance", "approx?eps=64", "multi_k?ks=2+8", "ordered"}) {
-    expect_twin_lockstep_parity(spec, "random_walk", s, 5, 250);
-    expect_twin_lockstep_parity(spec, "bursty", s, 9, 250);
-  }
-}
+TEST(RolePorts, TwinDriveProvesAnswerAndRngParity) { expect_goldens("parity"); }
 
 // ---------------------------------------------------------------------------
 // Scheduled networks: the ports must run (and stay live) once messages
-// are delayed, jittered, and dropped — the regime the lock-step twins
-// cannot enter at all.
+// are delayed, jittered, and dropped — the regime the recorded twins
+// never entered.
 // ---------------------------------------------------------------------------
 
 const std::vector<std::string>& new_port_specs() {
@@ -118,7 +81,8 @@ const std::vector<std::string>& new_port_specs() {
   // scheduled-network / churn scenarios (validated against the scenario
   // k) pin ks to start at the scenario's k = 4.
   static const std::vector<std::string> specs{
-      "slack", "dominance", "approx?eps=64", "multi_k?ks=4+8", "ordered"};
+      "slack",   "dominance", "approx?eps=64", "multi_k?ks=4+8",
+      "ordered", "recompute"};
   return specs;
 }
 
