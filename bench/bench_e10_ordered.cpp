@@ -2,7 +2,7 @@
 // (conjectured O(log Δ · log(n-k))-competitive via Lam-midpoints inside
 // the top-k + the paper's boundary machinery).
 //
-// Regenerates: overhead of OrderedTopkMonitor over plain Algorithm 1
+// Regenerates: overhead of the ordered monitor over plain Algorithm 1
 // across k and across workloads, plus the share of messages spent on
 // internal reordering vs boundary maintenance.
 #include <vector>

@@ -3,7 +3,7 @@
 // selection rebuilds all of them); the natural baseline runs one
 // independent Algorithm 1 instance per k.
 //
-// Regenerates: total messages of MultiKMonitor vs the sum of independent
+// Regenerates: total messages of the multi_k monitor vs the sum of independent
 // instances, for growing boundary counts, on a reset-heavy and on a
 // similar-inputs workload.
 #include <string>

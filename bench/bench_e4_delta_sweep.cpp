@@ -69,16 +69,12 @@ TOPKMON_SUITE(e4, "competitive ratio vs log Delta (Theorems 3.3/4.4)") {
     };
     const auto rows = ctx.runner().map<SawtoothRow>(
         deltas.size(), [&](std::size_t di) {
-          TopkFilterMonitor monitor(1);
           const auto trace = sawtooth_trace(kN, steps, deltas[di]);
           auto streams = trace.to_stream_set();
-          RunConfig cfg;
-          cfg.n = kN;
-          cfg.k = 1;
-          cfg.steps = steps - 1;
-          cfg.seed = args.seed;
-          cfg.record_trace = true;
-          const auto r = run_monitor(monitor, streams, cfg);
+          Scenario sc = scenario("topk_filter", StreamSpec{}, kN, 1,
+                                 steps - 1, args.seed);
+          sc.record_trace = true;
+          const auto r = run_scenario(sc, streams);
           const auto opt = compute_offline_opt(*r.trace, 1);
           return SawtoothRow{r.comm.total(), opt.updates(),
                              competitive_ratio(r, 1)};

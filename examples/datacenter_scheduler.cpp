@@ -27,8 +27,15 @@ int main() {
   spec.walk.max_step = 300;
   auto raw = make_stream_set(spec, kMachines, kSeed);
 
+  // The ordered monitor's role pair: one coordinator, one node algorithm
+  // per machine, run by the SimDriver between observations.
   Cluster cluster(kMachines, kSeed);
-  OrderedTopkMonitor monitor(kCandidates);
+  OrderedCoordinator monitor(kCandidates);
+  std::vector<std::unique_ptr<NodeAlgo>> nodes;
+  for (NodeId m = 0; m < kMachines; ++m) {
+    nodes.push_back(std::make_unique<OrderedNode>(kCandidates));
+  }
+  SimDriver driver(cluster, monitor, nodes, /*native=*/true);
 
   auto observe = [&] {
     for (NodeId m = 0; m < kMachines; ++m) {
@@ -37,13 +44,13 @@ int main() {
   };
 
   observe();
-  monitor.initialize(cluster);
+  driver.initialize();
 
   std::uint64_t placements = 0;
   std::vector<std::uint64_t> placed_on(kMachines, 0);
   for (TimeStep t = 1; t <= kSteps; ++t) {
     observe();
-    monitor.step(cluster, t);
+    driver.step(t);
     // A job arrives every step; place it on the least-loaded machine (the
     // coordinator's rank-1 answer) without polling anyone.
     const NodeId target = monitor.ordered_topk().front();

@@ -47,28 +47,26 @@ int main() {
 
   struct Entry {
     const char* label;
-    std::unique_ptr<MonitorBase> monitor;
+    const char* spec;  ///< monitor registry spec
   };
-  std::vector<Entry> entries;
-  entries.push_back({"Algorithm 1 (filters + rand. protocol)",
-                     std::make_unique<TopkFilterMonitor>(kHottest)});
-  entries.push_back({"ordered top-k (§5 variant)",
-                     std::make_unique<OrderedTopkMonitor>(kHottest)});
-  entries.push_back({"recompute each minute (§2.1)",
-                     std::make_unique<RecomputeMonitor>(kHottest)});
-  entries.push_back({"naive forwarding",
-                     std::make_unique<NaiveMonitor>(kHottest)});
+  const Entry entries[] = {
+      {"Algorithm 1 (filters + rand. protocol)", "topk_filter"},
+      {"ordered top-k (§5 variant)", "ordered"},
+      {"recompute each minute (§2.1)", "recompute"},
+      {"naive forwarding", "naive"},
+  };
 
   Table table({"algorithm", "total msgs", "msgs/min", "resets",
                "violations"});
-  for (auto& e : entries) {
+  for (const Entry& e : entries) {
     auto streams = build_streams();
-    RunConfig cfg;
-    cfg.n = kSensors;
-    cfg.k = kHottest;
-    cfg.steps = kMinutesPerDay * kDays;
-    cfg.seed = kSeed;
-    const auto r = run_monitor(*e.monitor, streams, cfg);
+    exp::Scenario sc;
+    sc.monitor = e.spec;
+    sc.n = kSensors;
+    sc.k = kHottest;
+    sc.steps = kMinutesPerDay * kDays;
+    sc.seed = kSeed;
+    const auto r = exp::run_scenario(sc, streams);
     table.add_row({e.label, fmt_count(r.comm.total()),
                    fmt(r.messages_per_step(), 2),
                    fmt_count(r.monitor.filter_resets),

@@ -40,23 +40,20 @@ void CoordCtx::arm_timer() { driver_.arm_coordinator(); }
 
 SimDriver::SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
                      std::span<const std::unique_ptr<NodeAlgo>> nodes,
-                     bool auto_deliver, std::size_t workers)
+                     bool native, std::size_t workers)
     : cluster_(cluster),
       coord_(coordinator),
       nodes_(nodes),
-      auto_deliver_(auto_deliver),
       coord_ctx_(*this, cluster),
       scan_scratch_(cluster.size()) {
   if (nodes_.size() != cluster_.size()) {
     throw std::invalid_argument("SimDriver: node algo count != cluster size");
   }
+  // Kept because perfbench/src/traced.cpp passes it; every pair is native.
+  if (!native) {
+    throw std::invalid_argument("SimDriver: only native role algorithms run");
+  }
   if (workers > 1) {
-    if (!auto_deliver_) {
-      throw std::invalid_argument(
-          "SimDriver: workers > 1 requires native role algorithms "
-          "(a LockstepAdapter monitor is one shared object; its node "
-          "callbacks cannot run concurrently)");
-    }
     shards_.resize(workers);
     pool_ = std::make_unique<WorkerPool>(workers - 1);
   }
@@ -74,7 +71,7 @@ bool SimDriver::anything_scheduled() const noexcept {
     return true;
   }
   if (fault_due() || !held_.empty()) return true;
-  return auto_deliver_ && cluster_.net().pending_deliveries() > 0;
+  return cluster_.net().pending_deliveries() > 0;
 }
 
 void SimDriver::set_fault_plan(const FaultPlan* plan) {
@@ -251,7 +248,7 @@ void SimDriver::service_node(NodeId id, WorkerShard* stage) {
   NodeCtx ctx(*this, cluster_, id);  // transient view; per-node scalars
                                      // live in the shared NodeRuntime
   NodeAlgo& algo = *nodes_[id];
-  if (auto_deliver_ && net.node_has_mail(id)) {
+  if (net.node_has_mail(id)) {
     if (net.node_mail_is_broadcast_only(id)) {
       // Bulk broadcast fan-out: the node's mail is exactly the shared
       // log's unread suffix, so deliver it in place — no per-node copy,
@@ -299,11 +296,9 @@ void SimDriver::service_node(NodeId id, WorkerShard* stage) {
 
 void SimDriver::service_coordinator() {
   // Phase 2: the coordinator's due mail, in arrival order.
-  if (auto_deliver_) {
-    cluster_.net().drain_coordinator(mail_scratch_);
-    for (const Message& m : mail_scratch_) {
-      coord_.on_message(coord_ctx_, m);
-    }
+  cluster_.net().drain_coordinator(mail_scratch_);
+  for (const Message& m : mail_scratch_) {
+    coord_.on_message(coord_ctx_, m);
   }
   // Phase 3: the coordinator's armed timer.
   if (coord_armed_) {
@@ -409,7 +404,7 @@ void SimDriver::run_tick_dense() {
   }
   // Bulk acks defer log compaction so in-place suffixes stay stable for
   // the rest of the scan; settle the deferred work once per tick.
-  if (auto_deliver_) cluster_.net().compact_broadcast_log();
+  cluster_.net().compact_broadcast_log();
   service_coordinator();
 }
 
@@ -447,8 +442,7 @@ void SimDriver::run_tick() {
       const auto mail = rt.due_mail.words();
       const auto armed = rt.armed.words();
       for (std::size_t w = lo; w < hi; ++w) {
-        std::uint64_t bits = armed[w];
-        if (auto_deliver_) bits |= mail[w];
+        std::uint64_t bits = armed[w] | mail[w];
         while (bits != 0) {
           const auto bit = static_cast<unsigned>(std::countr_zero(bits));
           bits &= bits - 1;
@@ -460,8 +454,7 @@ void SimDriver::run_tick() {
     const auto mail = rt.due_mail.words();
     const auto armed = rt.armed.words();
     for (std::size_t w = 0; w < armed.size(); ++w) {
-      std::uint64_t bits = armed[w];
-      if (auto_deliver_) bits |= mail[w];
+      std::uint64_t bits = armed[w] | mail[w];
       while (bits != 0) {
         const auto bit = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
@@ -469,7 +462,7 @@ void SimDriver::run_tick() {
       }
     }
   }
-  if (auto_deliver_) net.compact_broadcast_log();
+  net.compact_broadcast_log();
   service_coordinator();
 }
 

@@ -16,8 +16,8 @@
 // Ticks repeat until quiescence (no armed timer, no pending delivery, no
 // pending control) or, when the NetworkSpec sets a tick budget, until the
 // budget expires — in-flight messages then carry over into later steps.
-// Under the instant NetworkSpec this schedule reproduces the lock-step
-// protocol rounds of the legacy MonitorBase::step() exactly: a beacon
+// Under the instant NetworkSpec this schedule reproduces the paper's
+// lock-step protocol rounds exactly: a beacon
 // broadcast in phase 4 of tick T reaches nodes in phase 2 of tick T+1,
 // and reports sent there reach the coordinator in phase 2 of the same
 // tick — the paper's node-phase / coordinator-phase alternation.
@@ -56,11 +56,10 @@
 // exact serial order — so message seq stamps, the scheduled-delivery
 // hash, signal order, stats and taps are all byte-identical to
 // workers == 1. The coordinator phase, observe callbacks' surrounding
-// step logic, and everything else stay serial. Requires auto_deliver
-// (native role algorithms — one independent object per node);
-// LockstepAdapter deployments share one monitor object across node
-// callbacks and are rejected. Full design: docs/architecture.md,
-// "Parallel tick loop".
+// step logic, and everything else stay serial. Every role pair is one
+// independent NodeAlgo object per node, so no node callback touches
+// another node's state. Full design: docs/architecture.md, "Parallel
+// tick loop".
 //
 // Threading contract: every public method below is owner-thread only —
 // the driver is externally single-threaded; parallelism is an internal
@@ -89,19 +88,14 @@ namespace topkmon {
 /// the header comment above and in docs/architecture.md.
 class SimDriver {
  public:
-  /// `auto_deliver` selects the event loop: true for native role
-  /// algorithms (the driver drains the network each tick), false for
-  /// LockstepAdapter-backed ones (the wrapped monitor drains the network
-  /// itself inside on_step_begin, so the driver must not consume mail).
-  /// `workers` is the tick-scan parallelism: 1 runs the serial loop
-  /// (no pool, no staging — the pre-existing code path), W > 1 shards
-  /// the scan across W threads with byte-identical output. Throws
-  /// std::invalid_argument for workers > 1 without auto_deliver (a
-  /// lock-step monitor is one shared object; its node callbacks cannot
-  /// run concurrently).
+  /// `native` must be true (kept because perfbench/src/traced.cpp passes
+  /// it); false, the retired lock-step bridge, throws
+  /// std::invalid_argument. `workers` is the tick-scan parallelism: 1
+  /// runs the serial loop (no pool, no staging), W > 1 shards the scan
+  /// across W threads with byte-identical output.
   SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
             std::span<const std::unique_ptr<NodeAlgo>> nodes,
-            bool auto_deliver, std::size_t workers = 1);
+            bool native, std::size_t workers = 1);
 
   /// Time 0: values must already be set on the cluster. Runs every node's
   /// on_init, the coordinator's on_init, and settles to quiescence (the
@@ -291,7 +285,6 @@ class SimDriver {
   Cluster& cluster_;
   CoordinatorAlgo& coord_;
   std::span<const std::unique_ptr<NodeAlgo>> nodes_;
-  bool auto_deliver_;
   bool dense_ = false;
 
   CoordCtx coord_ctx_;

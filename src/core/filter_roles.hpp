@@ -2,12 +2,11 @@
 // randomized filter-based Top-k-Position monitor) with Algorithm 2 (the
 // randomized extremum protocol) embedded as event-driven sessions.
 //
-// This is the same algorithm as core/topk_monitor.hpp, restructured into
-// the coordinator/node split of core/roles.hpp so it runs on *any*
+// The coordinator/node split of core/roles.hpp lets it run on *any*
 // NetworkSpec: under the instant policy it is message-for-message and
-// coin-flip-for-coin-flip identical to the lock-step TopkFilterMonitor
-// (asserted by tests/core/test_role_equivalence.cpp); under delay, jitter,
-// drop or tick-budget policies it degrades gracefully — stale beacons
+// coin-flip-for-coin-flip identical to its retired lock-step twin (pinned
+// by the golden digests in tests/data/role_port_goldens.txt); under
+// delay, jitter, drop or tick-budget policies it degrades gracefully — stale beacons
 // weaken round pruning (more reports), lost filter updates or winner
 // announcements desynchronize node state until the next violation repairs
 // it, and the validation layer records the resulting error steps.
@@ -60,7 +59,7 @@ enum class FilterSessionGroup : std::int64_t {
 };
 
 /// Node-side half of Algorithm 1. With a non-zero epsilon the node runs
-/// the ε-approximate variant (core/approx_monitor.hpp): every boundary it
+/// the ε-approximate variant (registry spec "approx"): every boundary it
 /// installs is widened by ε/2 on its own side, so values within ε/2 of
 /// the boundary never violate. ε is a deployment constant — every node
 /// and the coordinator are configured with the same value.
@@ -178,7 +177,7 @@ class FilterCoordinator final : public CoordinatorAlgo {
     /// back to the handshake whenever the answer is not established or
     /// a cycle is running. Off by default (changes e19 traces).
     bool replay = false;
-    /// ε-approximate mode (core/approx_monitor.hpp): the answer only has
+    /// ε-approximate mode (registry spec "approx"): the answer only has
     /// to be correct for value vectors perturbed by at most ε/2 per node.
     /// The coordinator tolerates a T+/T- inversion up to 2·⌊ε/2⌋ before
     /// resetting, stamps ε into every kFilterUpdate (payload b), and

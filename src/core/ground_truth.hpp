@@ -47,7 +47,7 @@ bool is_valid_topk(const Cluster& cluster, std::span<const NodeId> candidate);
 /// ε-relaxed validity: `candidate` is an acceptable ε-approximate top-k
 /// answer iff every member's value >= every non-member's value − eps
 /// (eps = 0 recovers exact validity). This is the guarantee the
-/// ApproxTopkMonitor trades message volume against.
+/// ε-approximate monitor ("approx") trades message volume against.
 bool is_valid_topk_eps(std::span<const Value> values,
                        std::span<const NodeId> candidate, Value eps);
 

@@ -47,7 +47,7 @@ void MultiKNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
     return;
   }
   ctx.set_needs_observe(true);
-  // Mirror of MultiKMonitor::step()'s classification: count how many
+  // Crossing classification: count how many
   // boundary midpoints the value crossed; a multi-band jump escalates to
   // the shared reset, a single crossing names its boundary.
   const std::size_t m = bks_.size();

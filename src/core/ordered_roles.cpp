@@ -27,7 +27,7 @@ void OrderedNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
     return;
   }
   ctx.set_needs_observe(true);
-  // Mirror of OrderedTopkMonitor::step()'s classification, evaluated on
+  // Violation classification, evaluated on
   // the node's own beliefs (synchronized by updates and announces):
   // outsiders raise a boundary-side violation, members below the shared
   // boundary a below-fall, everything else is internal churn that only

@@ -1,5 +1,5 @@
-// Native role-separated implementation of the ordered top-k monitor
-// (core/ordered_topk_monitor.hpp): the hybrid of the shared k-th/(k+1)-st
+// Native role-separated implementation of the ordered top-k monitor:
+// the hybrid of the shared k-th/(k+1)-st
 // boundary (filter monitor) below with per-member midpoint slots
 // (dominance monitor) above, all in the injective w-space
 // w = v·n + (n-1-id). Members guard their rank slot, outsiders guard the
@@ -7,8 +7,8 @@
 // event-driven sessions (core/role_session.hpp).
 //
 // Under the instant NetworkSpec the port is message-for-message and
-// coin-flip-for-coin-flip identical to the lock-step OrderedTopkMonitor
-// (differential harness, tests/core/role_port_harness.hpp): the same
+// coin-flip-for-coin-flip identical to its retired lock-step twin (pinned
+// by the golden digests in tests/data/role_port_goldens.txt): the same
 // session sequence per violating step (below-crossers' min, outsiders'
 // max, the missing side under a charged kProtocolStart, then a k-round
 // member re-selection whenever the order above the boundary may have
@@ -122,8 +122,7 @@ class OrderedCoordinator final : public CoordinatorAlgo {
   void on_set_k(CoordCtx& ctx, std::size_t k) override;
 
   // -- introspection for tests / answer validation --------------------------
-  /// The monitored order, best first (mirrors
-  /// OrderedTopkMonitor::ordered_topk()).
+  /// The monitored order, best first.
   const std::vector<NodeId>& ordered_topk() const noexcept { return order_; }
 
  private:

@@ -15,9 +15,9 @@
 // step it delivers observations (on_observe), then runs delivery ticks —
 // due messages (on_message), then armed timers (on_timer) — until
 // quiescence or until the network's tick budget expires. Under the
-// instant NetworkSpec this reproduces the lock-step round structure of
-// the original MonitorBase::step() byte for byte (asserted by the
-// role-equivalence test suite).
+// instant NetworkSpec this reproduces the paper's lock-step round
+// structure byte for byte (pinned by the golden digests the retired
+// lock-step twins recorded, tests/data/role_port_goldens.txt).
 #pragma once
 
 #include <cstdint>
@@ -277,8 +277,8 @@ class CoordinatorAlgo {
   /// id (canonical set representation).
   virtual const std::vector<NodeId>& topk() const = 0;
 
-  /// Algorithm-level event counters (virtual so bridges can forward the
-  /// wrapped implementation's counters).
+  /// Algorithm-level event counters (virtual so a wrapping coordinator
+  /// can forward the wrapped one's counters).
   virtual const MonitorStats& monitor_stats() const noexcept { return mstats_; }
 
  protected:

@@ -1,7 +1,7 @@
-// Experiment runner: drives a monitor over a stream set for T steps,
-// validates the coordinator's answer against the ground truth after every
-// step, and collects message/event statistics (optionally the full value
-// trace, enabling the offline-optimal comparison and competitive ratios).
+// Run configuration and result types of the experiment runner
+// (exp::run_scenario drives a monitor over a stream set for T steps and
+// fills a RunResult), the shared per-step validation core, and the
+// competitive ratio against the offline optimum on a recorded trace.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +30,7 @@ struct RunConfig {
   enum class Validation { kStrict, kWeak, kOff };
   Validation validation = Validation::kStrict;
 
-  /// For monitors exposing an order (OrderedTopkMonitor): also check the
+  /// For monitors exposing an order (OrderedCoordinator): also check the
   /// rank order against the ground truth.
   bool validate_order = false;
 
@@ -130,21 +130,13 @@ struct RunResult {
   }
 };
 
-/// Runs `monitor` over `streams` (must have exactly cfg.n streams).
-/// Step 0 initializes; steps 1..cfg.steps call monitor.step(). Throws
-/// std::logic_error on validation failure unless cfg tolerates it — the
-/// failure is also recorded in the result (set `throw_on_error=false`).
-RunResult run_monitor(MonitorBase& monitor, StreamSet& streams,
-                      const RunConfig& cfg, bool throw_on_error = true);
-
 class GroundTruthTracker;
 
-/// Shared per-step validation core of run_monitor and exp::run_scenario:
-/// checks `answer` against the incrementally maintained ground truth
-/// under cfg.validation (plus the rank order when cfg.validate_order and
-/// `claimed_order` is non-null — the monitor's ranked answer, best
-/// first, from either the lock-step OrderedTopkMonitor or the native
-/// OrderedCoordinator), records any divergence on `result`
+/// Per-step validation core of the exp::run_scenario loops: checks
+/// `answer` against the incrementally maintained ground truth under
+/// cfg.validation (plus the rank order when cfg.validate_order and
+/// `claimed_order` is non-null — the OrderedCoordinator's ranked answer,
+/// best first), records any divergence on `result`
 /// (correct / error_steps / first_error_step), and throws
 /// std::logic_error when `throw_on_error`. `detail` is appended to the
 /// error message (e.g. " (network delay=2)"). The caller owns `truth`

@@ -1,11 +1,11 @@
-// Native role-separated implementation of the B&O-style slack monitor
-// (core/slack_monitor.hpp): one shared boundary, every violator reports
+// Native role-separated implementation of the B&O-style slack monitor:
+// one shared boundary, every violator reports
 // its fresh value directly, and the handler polls the side whose extremum
 // the violations did not deliver instead of running a protocol session.
 //
 // Under the instant NetworkSpec the port is message-for-message identical
-// to the lock-step SlackMonitor (asserted by the differential harness in
-// tests/core/role_port_harness.hpp): same kViolation reports, same
+// to its retired lock-step twin (pinned by the golden digests in
+// tests/data/role_port_goldens.txt): same kViolation reports, same
 // kProtocolStart poll shouts, same kValueReport replies, same single
 // kFilterUpdate per boundary move, same counter stream, and — since the
 // slack monitor is deterministic — untouched RNGs. Under delay, jitter or

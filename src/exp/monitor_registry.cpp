@@ -3,24 +3,14 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/strings.hpp"
-
-#include "core/approx_monitor.hpp"
-#include "core/dominance_monitor.hpp"
-#include "core/filter_roles.hpp"
-#include "core/lockstep_adapter.hpp"
 #include "core/dominance_roles.hpp"
-#include "core/multik_monitor.hpp"
+#include "core/filter_roles.hpp"
 #include "core/multik_roles.hpp"
-#include "core/naive_monitor.hpp"
 #include "core/naive_roles.hpp"
 #include "core/ordered_roles.hpp"
-#include "core/ordered_topk_monitor.hpp"
-#include "core/slack_roles.hpp"
-#include "core/recompute_monitor.hpp"
 #include "core/recompute_roles.hpp"
-#include "core/slack_monitor.hpp"
-#include "core/topk_monitor.hpp"
+#include "core/slack_roles.hpp"
+#include "util/strings.hpp"
 
 namespace topkmon::exp {
 
@@ -78,9 +68,8 @@ double parse_double(const ParsedSpec& spec, const Param& p) {
   return *out;
 }
 
-/// Shared grammar of the specs that accept only `nobeacon` (used by both
-/// the lock-step and the native topk_filter factories, so the two accept
-/// exactly the same strings).
+/// Shared grammar of the specs that accept only `nobeacon` (ordered and
+/// recompute).
 bool parse_nobeacon_only(const ParsedSpec& spec) {
   bool nobeacon = false;
   for (const auto& p : spec.params) {
@@ -107,70 +96,7 @@ std::vector<std::size_t> parse_ks(const ParsedSpec& spec, const Param& p) {
   return out;
 }
 
-std::unique_ptr<MonitorBase> build_monitor(const ParsedSpec& spec,
-                                           std::size_t k) {
-  if (spec.name == "topk_filter") {
-    TopkFilterMonitor::Options o;
-    o.suppress_idle_broadcasts = parse_nobeacon_only(spec);
-    return std::make_unique<TopkFilterMonitor>(k, o);
-  }
-  if (spec.name == "ordered") {
-    OrderedTopkMonitor::Options o;
-    o.suppress_idle_broadcasts = parse_nobeacon_only(spec);
-    return std::make_unique<OrderedTopkMonitor>(k, o);
-  }
-  if (spec.name == "slack") {
-    SlackMonitor::Options o;
-    for (const auto& p : spec.params) {
-      if (p.key == "alpha") o.alpha = parse_double(spec, p);
-      else if (p.key == "adaptive") o.adaptive = parse_flag(p);
-      else bad_param(spec, p);
-    }
-    return std::make_unique<SlackMonitor>(k, o);
-  }
-  if (spec.name == "dominance") {
-    expect_no_params(spec);
-    return std::make_unique<DominanceMonitor>(k);
-  }
-  if (spec.name == "recompute") {
-    RecomputeMonitor::Options o;
-    o.suppress_idle_broadcasts = parse_nobeacon_only(spec);
-    return std::make_unique<RecomputeMonitor>(k, o);
-  }
-  if (spec.name == "naive" || spec.name == "naive_chg") {
-    expect_no_params(spec);
-    NaiveMonitor::Options o;
-    o.send_on_change_only = (spec.name == "naive_chg");
-    return std::make_unique<NaiveMonitor>(k, o);
-  }
-  if (spec.name == "approx") {
-    ApproxTopkMonitor::Options o;
-    for (const auto& p : spec.params) {
-      if (p.key == "eps") o.epsilon = parse_int(spec, p);
-      else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-      else bad_param(spec, p);
-    }
-    return std::make_unique<ApproxTopkMonitor>(k, o);
-  }
-  if (spec.name == "multi_k") {
-    std::vector<std::size_t> ks{k};
-    MultiKMonitor::Options o;
-    for (const auto& p : spec.params) {
-      if (p.key == "ks") ks = parse_ks(spec, p);
-      else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-      else bad_param(spec, p);
-    }
-    return std::make_unique<MultiKMonitor>(std::move(ks), o);
-  }
-  throw std::invalid_argument("unknown monitor '" + spec.name + "'");
-}
-
 }  // namespace
-
-std::unique_ptr<MonitorBase> make_monitor(std::string_view spec,
-                                          std::size_t k) {
-  return build_monitor(parse_spec(spec), k);
-}
 
 RolePair make_role_pair(Cluster& cluster, std::string_view spec,
                         std::size_t k) {
@@ -181,9 +107,8 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     FilterCoordinator::Options o;
     for (const auto& p : parsed.params) {
       if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-      // Native-roles-only knob (the lock-step bridge has no FILTERRESET
-      // retry loop to damp): seeded exponential backoff on defensive
-      // resets, for the lossy-network and churn suites.
+      // Seeded exponential backoff on defensive resets, for the
+      // lossy-network and churn suites.
       else if (p.key == "backoff") o.reset_backoff = parse_flag(p);
       // Adversarial-degradation suspicion machinery (lag/stale/mute
       // plans; see core/filter_roles.hpp).
@@ -198,13 +123,12 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<FilterNode>(k));
     }
-    pair.native = true;
     return pair;
   }
 
   if (parsed.name == "naive" || parsed.name == "naive_chg") {
-    // Native-roles-only knob: the suspicion machinery for adversarial
-    // degradations (silence scan / audit probes; core/naive_roles.hpp).
+    // The suspicion machinery for adversarial degradations (silence
+    // scan / audit probes; core/naive_roles.hpp).
     bool suspect = false;
     for (const auto& p : parsed.params) {
       if (p.key == "suspect") suspect = parse_flag(p);
@@ -217,14 +141,13 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<NaiveNode>(chg));
     }
-    pair.native = true;
     return pair;
   }
 
   if (parsed.name == "approx") {
     // The ε-approximate monitor is the filter monitor with half-widened
     // boundaries (FilterCoordinator::Options::approx), so it composes
-    // with the same native-only knobs as topk_filter.
+    // with the same knobs as topk_filter.
     FilterCoordinator::Options o;
     o.approx = true;
     for (const auto& p : parsed.params) {
@@ -240,7 +163,6 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<FilterNode>(k, o.epsilon));
     }
-    pair.native = true;
     return pair;
   }
 
@@ -260,7 +182,6 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<SlackNode>());
     }
-    pair.native = true;
     return pair;
   }
 
@@ -271,7 +192,6 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<DominanceNode>());
     }
-    pair.native = true;
     return pair;
   }
 
@@ -283,7 +203,6 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<OrderedNode>(k));
     }
-    pair.native = true;
     return pair;
   }
 
@@ -300,7 +219,6 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<MultiKNode>(ks));
     }
-    pair.native = true;
     return pair;
   }
 
@@ -312,21 +230,10 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       pair.nodes.push_back(std::make_unique<RecomputeNode>());
     }
-    pair.native = true;
     return pair;
   }
 
-  // Everything else bridges the lock-step implementation (instant only).
-  auto adapter =
-      std::make_unique<LockstepAdapter>(build_monitor(parsed, k), cluster);
-  pair.lockstep = adapter->lockstep();
-  pair.coordinator = std::move(adapter);
-  pair.nodes.reserve(cluster.size());
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    pair.nodes.push_back(std::make_unique<LockstepNode>());
-  }
-  pair.native = false;
-  return pair;
+  throw std::invalid_argument("unknown monitor '" + parsed.name + "'");
 }
 
 std::pair<std::string, std::size_t> split_shards_param(std::string_view spec) {
@@ -370,16 +277,6 @@ const std::vector<std::string>& all_monitor_names() {
   static const std::vector<std::string> names{
       "topk_filter", "ordered", "slack",     "dominance", "recompute",
       "naive",       "naive_chg", "approx",  "multi_k"};
-  return names;
-}
-
-const std::vector<std::string>& native_monitor_names() {
-  // Every monitor except the recompute baseline has a native role port;
-  // recompute stays a lock-step bridge (its per-step global re-sort has
-  // no event-driven decomposition worth maintaining).
-  static const std::vector<std::string> names{
-      "topk_filter", "ordered", "slack",  "dominance",
-      "naive",       "naive_chg", "approx", "multi_k"};
   return names;
 }
 

@@ -11,12 +11,11 @@
 //   "slack?adaptive"              adaptive placement
 //   "approx?eps=512"              ε-approximate variant
 //   "multi_k?ks=2+8+16"           simultaneous k ∈ {2,8,16}
+//   "recompute?nobeacon"          classical per-step recomputation
 //
-// Two factories exist: make_monitor yields the legacy lock-step
-// MonitorBase; make_role_pair yields the role-separated deployment
-// (CoordinatorAlgo + n NodeAlgos) used by run_scenario — native for
-// every monitor except recompute, which stays LockstepAdapter-bridged
-// as the adapter-path reference (pair.native tells which).
+// make_role_pair yields the role-separated deployment (CoordinatorAlgo +
+// n NodeAlgos) that run_scenario drives; every monitor is native, so
+// every spec runs under any network policy, worker count and fault plan.
 #pragma once
 
 #include <memory>
@@ -25,28 +24,18 @@
 #include <utility>
 #include <vector>
 
-#include "core/monitor.hpp"
 #include "core/roles.hpp"
 #include "sim/cluster.hpp"
 
 namespace topkmon::exp {
-
-/// Instantiates the lock-step monitor described by `spec` for top-k size
-/// `k`. Throws std::invalid_argument for unknown names or parameters.
-std::unique_ptr<MonitorBase> make_monitor(std::string_view spec,
-                                          std::size_t k);
 
 /// A deployable role-separated monitor: one coordinator plus one node
 /// algorithm per cluster node.
 struct RolePair {
   std::unique_ptr<CoordinatorAlgo> coordinator;
   std::vector<std::unique_ptr<NodeAlgo>> nodes;
-  /// True when the pair is a native event-driven implementation (runs
-  /// under any NetworkSpec); false for LockstepAdapter bridges (instant
-  /// only).
-  bool native = false;
-  /// The wrapped lock-step monitor for adapter pairs (else nullptr).
-  const MonitorBase* lockstep = nullptr;
+  /// Always true (kept because perfbench/src/traced.cpp reads it).
+  static constexpr bool native = true;
 };
 
 /// Instantiates the role-separated deployment described by `spec` on
@@ -70,9 +59,5 @@ std::pair<std::string, std::size_t> split_shards_param(std::string_view spec);
 /// All registered monitor base names, in a stable canonical order (the
 /// paper's Algorithm 1 first, then baselines).
 const std::vector<std::string>& all_monitor_names();
-
-/// Base names with a native role-separated implementation (usable under
-/// non-instant NetworkSpecs).
-const std::vector<std::string>& native_monitor_names();
 
 }  // namespace topkmon::exp

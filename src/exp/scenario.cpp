@@ -8,9 +8,7 @@
 
 #include "core/driver.hpp"
 #include "core/ground_truth_tracker.hpp"
-#include "core/lockstep_adapter.hpp"
 #include "core/ordered_roles.hpp"
-#include "core/ordered_topk_monitor.hpp"
 #include "core/root_merge.hpp"
 #include "exp/monitor_registry.hpp"
 #include "sim/cluster.hpp"
@@ -21,79 +19,20 @@ namespace topkmon::exp {
 
 namespace {
 
-/// The registry's native-capable specs, joined for rejection messages —
-/// derived from native_monitor_names() so new role ports never leave a
-/// stale hand-written list behind.
-std::string native_monitor_list() {
-  std::string out;
-  for (const auto& name : native_monitor_names()) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
-}
-
-}  // namespace
-
-RunResult run_scenario(const Scenario& sc) {
-  // Deployment-level dispatch: an explicit `?shards=c` monitor parameter
-  // wins over Scenario::shards; an effective count > 1 routes through the
-  // two-tier sharded runner. `?shards=1` is stripped and runs the
-  // monolithic path (identical output either way; the monolithic path
-  // additionally supports record_series).
-  const auto [stripped_monitor, shards_param] = split_shards_param(sc.monitor);
-  const std::size_t shard_count = shards_param != 0 ? shards_param : sc.shards;
-  if (shard_count > 1) {
-    Scenario sharded = sc;
-    sharded.monitor = stripped_monitor;
-    sharded.shards = shard_count;
-    return run_sharded_scenario(sharded);
-  }
-  if (shards_param != 0) {
-    Scenario mono = sc;
-    mono.monitor = stripped_monitor;
-    mono.shards = 1;
-    return run_scenario(mono);
-  }
-  if (sc.k == 0 || sc.k > sc.n) {
-    throw std::invalid_argument("run_scenario: k out of range");
-  }
-
-  // Fault plan: validated up front so provisioning (cluster, streams,
-  // ground truth) accounts for joining nodes. An empty plan ("none")
-  // leaves every allocation and every RNG stream exactly as before —
-  // fault-free runs stay byte-identical.
-  const FaultPlan plan(sc.faults, sc.n, sc.k, sc.seed);
+/// The monolithic run loop shared by both run_scenario overloads:
+/// `streams` holds one stream per provisioned node (plan.total_nodes()
+/// with joins, else sc.n); `wall_start` is when the caller began.
+RunResult run_monolithic(const Scenario& sc, const FaultPlan& plan,
+                         StreamSet& streams,
+                         std::chrono::steady_clock::time_point wall_start) {
   const bool faulty = !plan.empty();
   const std::size_t N = faulty ? plan.total_nodes() : sc.n;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  auto streams = make_stream_set(sc.stream, N, sc.seed);
   Cluster cluster(N, sc.seed, sc.network);
   RolePair pair = make_role_pair(cluster, sc.monitor, sc.k);
-  if (!pair.native && !sc.network.is_instant()) {
-    throw std::invalid_argument(
-        "run_scenario: monitor '" + sc.monitor +
-        "' has no native role implementation and cannot run on network '" +
-        sc.network.name() + "' (native: " + native_monitor_list() + ")");
-  }
-  if (!pair.native && faulty) {
-    throw std::invalid_argument(
-        "run_scenario: monitor '" + sc.monitor +
-        "' has no native role implementation and cannot run under fault "
-        "plan '" + sc.faults + "' (native: " + native_monitor_list() + ")");
-  }
   const std::size_t workers =
       sc.workers != 0
           ? sc.workers
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (!pair.native && workers > 1) {
-    throw std::invalid_argument(
-        "run_scenario: monitor '" + sc.monitor +
-        "' has no native role implementation and cannot run with workers > 1 "
-        "(native: " + native_monitor_list() + ")");
-  }
   if (sc.record_series) cluster.stats().enable_series();
 
   const RunConfig cfg = sc.run_config();
@@ -102,28 +41,21 @@ RunResult run_scenario(const Scenario& sc) {
   result.network = sc.network.name();
   if (sc.record_trace) result.trace.emplace(N, sc.steps + 1);
 
-  // Validation shares the legacy runner's core (incremental ground truth);
-  // the ordered-rank check applies when the adapter wraps the ordered
-  // monitor. The tracker's k is fixed at construction, so a dynamic-k
-  // event re-emplaces it (and re-feeds the value mirror).
+  // Validation against the incremental ground truth; the rank-order check
+  // applies to the ordered monitor. The tracker's k is fixed at
+  // construction, so a dynamic-k event re-emplaces it (and re-feeds the
+  // value mirror).
   std::optional<GroundTruthTracker> truth(std::in_place, N, sc.k);
   const bool track = cfg.validation != RunConfig::Validation::kOff;
-  const auto* ordered_lockstep =
-      sc.validate_order
-          ? dynamic_cast<const OrderedTopkMonitor*>(pair.lockstep)
-          : nullptr;
-  const auto* ordered_native =
+  const auto* ordered =
       sc.validate_order
           ? dynamic_cast<const OrderedCoordinator*>(pair.coordinator.get())
           : nullptr;
   const std::string detail = " (network " + sc.network.name() + ")";
   const auto check = [&](TimeStep t) {
-    const std::vector<NodeId>* claimed_order =
-        ordered_lockstep != nullptr   ? &ordered_lockstep->ordered_topk()
-        : ordered_native != nullptr ? &ordered_native->ordered_topk()
-                                    : nullptr;
-    check_answer_step(*truth, pair.coordinator->topk(), claimed_order, cfg,
-                      pair.coordinator->name(), detail, t, &result,
+    check_answer_step(*truth, pair.coordinator->topk(),
+                      ordered != nullptr ? &ordered->ordered_topk() : nullptr,
+                      cfg, pair.coordinator->name(), detail, t, &result,
                       sc.throw_on_error);
   };
 
@@ -297,6 +229,62 @@ RunResult run_scenario(const Scenario& sc) {
                                     wall_start)
           .count();
   return result;
+}
+
+}  // namespace
+
+RunResult run_scenario(const Scenario& sc) {
+  // Deployment-level dispatch: an explicit `?shards=c` monitor parameter
+  // wins over Scenario::shards; an effective count > 1 routes through the
+  // two-tier sharded runner. `?shards=1` is stripped and runs the
+  // monolithic path (identical output either way; the monolithic path
+  // additionally supports record_series).
+  const auto [stripped_monitor, shards_param] = split_shards_param(sc.monitor);
+  const std::size_t shard_count = shards_param != 0 ? shards_param : sc.shards;
+  if (shard_count > 1) {
+    Scenario sharded = sc;
+    sharded.monitor = stripped_monitor;
+    sharded.shards = shard_count;
+    return run_sharded_scenario(sharded);
+  }
+  if (shards_param != 0) {
+    Scenario mono = sc;
+    mono.monitor = stripped_monitor;
+    mono.shards = 1;
+    return run_scenario(mono);
+  }
+  if (sc.k == 0 || sc.k > sc.n) {
+    throw std::invalid_argument("run_scenario: k out of range");
+  }
+
+  // Fault plan: validated up front so provisioning (cluster, streams,
+  // ground truth) accounts for joining nodes. An empty plan ("none")
+  // leaves every allocation and every RNG stream exactly as before —
+  // fault-free runs stay byte-identical.
+  const FaultPlan plan(sc.faults, sc.n, sc.k, sc.seed);
+  const std::size_t N = plan.empty() ? sc.n : plan.total_nodes();
+  const auto wall_start = std::chrono::steady_clock::now();
+  auto streams = make_stream_set(sc.stream, N, sc.seed);
+  return run_monolithic(sc, plan, streams, wall_start);
+}
+
+RunResult run_scenario(const Scenario& sc, StreamSet& streams) {
+  const auto [monitor, shards_param] = split_shards_param(sc.monitor);
+  if ((shards_param != 0 ? shards_param : sc.shards) > 1) {
+    throw std::invalid_argument(
+        "run_scenario: caller-supplied streams need a monolithic deployment");
+  }
+  if (sc.k == 0 || sc.k > sc.n) {
+    throw std::invalid_argument("run_scenario: k out of range");
+  }
+  const FaultPlan plan(sc.faults, sc.n, sc.k, sc.seed);
+  const std::size_t N = plan.empty() ? sc.n : plan.total_nodes();
+  if (streams.size() != N) {
+    throw std::invalid_argument("run_scenario: stream count != n");
+  }
+  Scenario mono = sc;
+  mono.monitor = monitor;
+  return run_monolithic(mono, plan, streams, std::chrono::steady_clock::now());
 }
 
 RunResult run_sharded_scenario(const Scenario& sc) {

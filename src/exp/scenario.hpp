@@ -5,14 +5,11 @@
 // validation regime. run_scenario() is the single execution entry point:
 // it builds the role-separated deployment, drives it with the SimDriver
 // event loop, validates every step against the ground truth and returns
-// the familiar RunResult.
-//
-// Under the default instant network this path is byte-identical to the
-// legacy run_monitor() pipeline (native role implementations are
-// coin-flip-compatible with their lock-step counterparts; everything else
-// bridges through the LockstepAdapter). Non-instant networks require a
-// native monitor ("topk_filter", "naive", "naive_chg") — the runner
-// rejects adapter-backed monitors there with a clear error.
+// the familiar RunResult. Every registry monitor is a native role pair,
+// so every monitor runs under every network policy, worker count and
+// fault plan; the run_scenario(Scenario, StreamSet&) overload replays
+// caller-built streams (e.g. a hand-made TraceMatrix) through the same
+// loop.
 #pragma once
 
 #include <functional>
@@ -67,10 +64,7 @@ struct Scenario {
   /// loop, W > 1 shards the per-tick node scan across W threads, 0 means
   /// one per hardware thread. Output is byte-identical for every value
   /// (the parallel-tick determinism contract; enforced by tests and the
-  /// CI workers-determinism smoke). Values > 1 require a native monitor
-  /// (every registry spec except "recompute"; see
-  /// exp::native_monitor_names()) — run_scenario rejects adapter-backed
-  /// monitors with a clear error, like it does for non-instant networks.
+  /// CI workers-determinism smoke).
   std::size_t workers = 1;
 
   /// Shard count of the two-tier hierarchical deployment
@@ -92,9 +86,7 @@ struct Scenario {
   /// (default) runs fault-free and byte-identical to a scenario without
   /// the field; anything else schedules crash / recover / join / leave /
   /// dynamic-k events — plus the adversarial degradations lag / stale /
-  /// mute / heal — against the run. Requires a native monitor
-  /// ("topk_filter", "naive", "naive_chg"); composes with any network
-  /// policy and with workers > 1 (schedules derive from the run seed like
+  /// mute / heal — against the run. Composes with any network policy and with workers > 1 (schedules derive from the run seed like
   /// link randomness, so results stay byte-reproducible). With join
   /// events the cluster/streams/ground truth are provisioned at the
   /// plan's total_nodes(); RunResult::recovery_ticks then reports the
@@ -155,12 +147,19 @@ struct Scenario {
 
 /// Runs the scenario end to end and returns its result. Throws
 /// std::invalid_argument for malformed scenarios (unknown monitor/family,
-/// k out of range, non-native monitor on a non-instant network or with
-/// workers > 1) and std::logic_error on validation divergence when
+/// k out of range) and std::logic_error on validation divergence when
 /// throw_on_error is set. Thread-safe: concurrent calls share no state
 /// (each scenario builds its own cluster/driver), which is how the
 /// SweepRunner's trial parallelism composes with per-scenario workers.
 RunResult run_scenario(const Scenario& scenario);
+
+/// Runs the scenario over caller-supplied streams instead of
+/// `scenario.stream` (hand-built traces: TraceMatrix::to_stream_set()).
+/// `streams` must hold one stream per provisioned node (scenario.n, plus
+/// the fault plan's joining nodes) and is advanced by the run. Monolithic
+/// deployments only: throws std::invalid_argument for shards > 1 or a
+/// stream-count mismatch, otherwise behaves exactly like run_scenario.
+RunResult run_scenario(const Scenario& scenario, StreamSet& streams);
 
 /// Runs the scenario on a two-tier sharded deployment (core/root_merge.hpp)
 /// with `scenario.shards` shard coordinators (a `?shards=c` monitor
@@ -175,8 +174,8 @@ RunResult run_scenario(const Scenario& scenario);
 /// throw_on_error=false). Membership churn and dynamic-k fault plans are
 /// supported at any c (whole-shard outages drain the dead shard's quota
 /// at the root and regrant it on recovery); adversarial degradations are
-/// not. Throws std::invalid_argument for non-native monitors, plans with
-/// degradations, or shards > n.
+/// not. Throws std::invalid_argument for monitors without a sharded
+/// deployment, plans with degradations, or shards > n.
 RunResult run_sharded_scenario(const Scenario& scenario);
 
 }  // namespace topkmon::exp

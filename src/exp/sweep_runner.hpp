@@ -30,7 +30,7 @@
 namespace topkmon::exp {
 
 /// Executes one TrialSpec synchronously: builds the monitor (registry) and
-/// stream set, then drives run_monitor. Thread-safe (no shared state).
+/// stream set, then drives run_scenario. Thread-safe (no shared state).
 RunResult run_trial(const TrialSpec& spec);
 
 class SweepRunner {

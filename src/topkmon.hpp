@@ -4,7 +4,8 @@
 //
 // pulls in the simulation substrate, stream generators, the distributed
 // max/min protocols (Algorithm 2) and every Top-k-Position monitoring
-// algorithm (Algorithm 1 and the baselines), plus the experiment runner.
+// algorithm (Algorithm 1 and the baselines, as native role pairs), plus
+// the experiment runner.
 #pragma once
 
 #include "util/types.hpp"      // IWYU pragma: export
@@ -26,8 +27,6 @@
 #include "streams/trace.hpp"       // IWYU pragma: export
 
 #include "protocols/extremum.hpp"          // IWYU pragma: export
-#include "protocols/select_topk.hpp"       // IWYU pragma: export
-#include "protocols/shout_echo.hpp"        // IWYU pragma: export
 #include "protocols/sequential_probe.hpp"  // IWYU pragma: export
 
 #include "core/filter.hpp"               // IWYU pragma: export
@@ -42,15 +41,7 @@
 #include "core/dominance_roles.hpp"      // IWYU pragma: export
 #include "core/ordered_roles.hpp"        // IWYU pragma: export
 #include "core/multik_roles.hpp"         // IWYU pragma: export
-#include "core/lockstep_adapter.hpp"     // IWYU pragma: export
-#include "core/topk_monitor.hpp"         // IWYU pragma: export
-#include "core/approx_monitor.hpp"       // IWYU pragma: export
-#include "core/multik_monitor.hpp"       // IWYU pragma: export
-#include "core/naive_monitor.hpp"        // IWYU pragma: export
-#include "core/recompute_monitor.hpp"    // IWYU pragma: export
-#include "core/dominance_monitor.hpp"    // IWYU pragma: export
-#include "core/slack_monitor.hpp"        // IWYU pragma: export
-#include "core/ordered_topk_monitor.hpp" // IWYU pragma: export
+#include "core/recompute_roles.hpp"      // IWYU pragma: export
 #include "core/offline_opt.hpp"          // IWYU pragma: export
 #include "core/runner.hpp"               // IWYU pragma: export
 

@@ -54,9 +54,8 @@ class Rng {
   Rng derive(std::uint64_t stream_id) const noexcept;
 
   /// Full-state equality: two generators compare equal iff their future
-  /// output sequences are identical. The differential equivalence harness
-  /// uses this to prove a native role port consumed exactly the same coin
-  /// flips as its lock-step twin.
+  /// output sequences are identical (determinism checks: two runs that
+  /// consumed the same coin flips leave equal generators behind).
   friend bool operator==(const Rng& a, const Rng& b) noexcept {
     return a.s_ == b.s_ &&
            a.has_cached_gaussian_ == b.has_cached_gaussian_ &&

@@ -1,22 +1,24 @@
-// Tests for the ε-approximate monitor: ε-validity at every step, message
+// Tests for the ε-approximate monitor ("approx?eps=<ε>", the filter role
+// pair with widened boundaries): ε-validity at every step, message
 // savings vs the exact monitor, and the ε = 0 degeneration.
-#include "core/approx_monitor.hpp"
-
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
+#include "exp/scenario.hpp"
+#include "native_rig.hpp"
 
 namespace topkmon {
 namespace {
 
+using rig::Rig;
+
+std::string approx(Value eps) { return "approx?eps=" + std::to_string(eps); }
+
 TEST(ApproxMonitor, RejectsBadParams) {
-  EXPECT_THROW(ApproxTopkMonitor(0), std::invalid_argument);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = -1;
-  EXPECT_THROW(ApproxTopkMonitor(2, o), std::invalid_argument);
+  EXPECT_THROW(Rig("approx", 0, 4), std::invalid_argument);
+  EXPECT_THROW(Rig(approx(-1), 2, 4), std::invalid_argument);
 }
 
 TEST(ApproxMonitor, EpsValidityHelpers) {
@@ -32,17 +34,15 @@ TEST(ApproxMonitor, EpsValidityHelpers) {
 }
 
 TEST(ApproxMonitor, ZeroEpsilonIsExactEveryStep) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 3'000;
-  auto streams = make_stream_set(spec, 10, 5);
-  ApproxTopkMonitor m(3);  // default epsilon = 0
-  RunConfig cfg;
-  cfg.n = 10;
-  cfg.k = 3;
-  cfg.steps = 600;
-  cfg.seed = 5;
-  const auto r = run_monitor(m, streams, cfg);  // strict validation
+  exp::Scenario sc;
+  sc.monitor = "approx";  // default epsilon = 0
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 3'000;
+  sc.n = 10;
+  sc.k = 3;
+  sc.steps = 600;
+  sc.seed = 5;
+  const auto r = exp::run_scenario(sc);  // strict validation
   EXPECT_TRUE(r.correct);
 }
 
@@ -55,21 +55,20 @@ TEST_P(ApproxEpsSweep, AlwaysEpsValid) {
   spec.walk.max_step = 3'000;
   spec.enforce_distinct = false;  // keep raw value scale == eps scale
   auto streams = make_stream_set(spec, 10, 11);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = eps;
-  ApproxTopkMonitor m(3, o);
-  Cluster c(10, 11);
-  for (NodeId i = 0; i < 10; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  Rig r(approx(eps), 3, 10, 11);
+  std::vector<Value> values(10);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 10; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  r.init(values);
   Value worst_regret = 0;
   for (TimeStep t = 1; t <= 800; ++t) {
-    for (NodeId i = 0; i < 10; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    ASSERT_TRUE(is_valid_topk_eps(c, m.topk(), eps))
+    observe();
+    r.step(values);
+    ASSERT_TRUE(is_valid_topk_eps(values, r.topk(), eps))
         << "eps=" << eps << " t=" << t;
-    std::vector<Value> values(10);
-    for (NodeId i = 0; i < 10; ++i) values[i] = c.value(i);
-    worst_regret = std::max(worst_regret, topk_regret(values, m.topk()));
+    worst_regret = std::max(worst_regret, topk_regret(values, r.topk()));
   }
   EXPECT_LE(worst_regret, eps);
 }
@@ -80,23 +79,19 @@ INSTANTIATE_TEST_SUITE_P(Eps, ApproxEpsSweep,
 
 TEST(ApproxMonitor, LargerEpsilonSendsFewerMessages) {
   auto run_with_eps = [](Value eps) {
-    StreamSpec spec;
-    spec.family = StreamFamily::kRandomWalk;
-    spec.walk.max_step = 2'000;
-    spec.walk.lo = 0;
-    spec.walk.hi = 60'000;  // confined: nodes interact constantly
-    spec.enforce_distinct = false;
-    auto streams = make_stream_set(spec, 16, 13);
-    ApproxTopkMonitor::Options o;
-    o.epsilon = eps;
-    ApproxTopkMonitor m(4, o);
-    RunConfig cfg;
-    cfg.n = 16;
-    cfg.k = 4;
-    cfg.steps = 1'000;
-    cfg.seed = 13;
-    cfg.validation = RunConfig::Validation::kOff;  // eps-validity checked above
-    return run_monitor(m, streams, cfg).comm.total();
+    exp::Scenario sc;
+    sc.monitor = approx(eps);
+    sc.stream.family = StreamFamily::kRandomWalk;
+    sc.stream.walk.max_step = 2'000;
+    sc.stream.walk.lo = 0;
+    sc.stream.walk.hi = 60'000;  // confined: nodes interact constantly
+    sc.stream.enforce_distinct = false;
+    sc.n = 16;
+    sc.k = 4;
+    sc.steps = 1'000;
+    sc.seed = 13;
+    sc.validation = RunConfig::Validation::kOff;  // eps-validity checked above
+    return exp::run_scenario(sc).comm.total();
   };
   const auto exact = run_with_eps(0);
   const auto loose = run_with_eps(50'000);
@@ -104,55 +99,45 @@ TEST(ApproxMonitor, LargerEpsilonSendsFewerMessages) {
 }
 
 TEST(ApproxMonitor, HugeEpsilonNearSilent) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 500;
-  spec.walk.lo = 0;
-  spec.walk.hi = 10'000;
-  spec.enforce_distinct = false;
-  auto streams = make_stream_set(spec, 8, 17);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = 1'000'000;  // wider than the whole value range
-  ApproxTopkMonitor m(2, o);
-  RunConfig cfg;
-  cfg.n = 8;
-  cfg.k = 2;
-  cfg.steps = 500;
-  cfg.seed = 17;
-  cfg.validation = RunConfig::Validation::kOff;
-  const auto r = run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = approx(1'000'000);  // wider than the whole value range
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 500;
+  sc.stream.walk.lo = 0;
+  sc.stream.walk.hi = 10'000;
+  sc.stream.enforce_distinct = false;
+  sc.n = 8;
+  sc.k = 2;
+  sc.steps = 500;
+  sc.seed = 17;
+  sc.validation = RunConfig::Validation::kOff;
+  const auto r = exp::run_scenario(sc);
   // Only initialization traffic; filters can never be violated.
   EXPECT_EQ(r.monitor.violation_steps, 0u);
 }
 
 TEST(ApproxMonitor, DegenerateKEqualsN) {
-  Cluster c(3, 1);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = 10;
-  ApproxTopkMonitor m(3, o);
-  m.initialize(c);
-  EXPECT_EQ(c.stats().total(), 0u);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1, 2}));
+  Rig r(approx(10), 3, 3);
+  r.init({0, 0, 0});
+  EXPECT_EQ(r.comm().total(), 0u);
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1, 2}));
 }
 
 TEST(ApproxMonitor, OddEpsilonNoLivelock) {
   // With odd eps the boundary re-centering must still terminate (the
   // 2*floor(eps/2) slack rule); drive a node to sit exactly at T+ and
   // check violations do not repeat forever on a static configuration.
-  Cluster c(2, 3);
-  c.set_value(0, 1'001);
-  c.set_value(1, 0);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = 7;
-  ApproxTopkMonitor m(1, o);
-  m.initialize(c);
+  constexpr Value kEps = 7;
+  Rig r(approx(kEps), 1, 2, 3);
+  r.init({1'001, 0});
   // Drop node 0 just below the widened filter once.
-  c.set_value(0, m.boundary() - o.epsilon / 2 - 1);
-  m.step(c, 1);
-  const auto msgs_after_first = c.stats().total();
+  const Value b = r.coord<FilterCoordinator>().boundary();
+  const std::vector<Value> dropped{b - kEps / 2 - 1, 0};
+  r.step(dropped);
+  const auto msgs_after_first = r.comm().total();
   // Static values afterwards: no further messages may flow.
-  for (TimeStep t = 2; t <= 10; ++t) m.step(c, t);
-  EXPECT_EQ(c.stats().total(), msgs_after_first);
+  for (TimeStep t = 2; t <= 10; ++t) r.step(dropped);
+  EXPECT_EQ(r.comm().total(), msgs_after_first);
 }
 
 }  // namespace

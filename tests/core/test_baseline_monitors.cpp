@@ -1,51 +1,48 @@
-// Tests for the naive, recompute and slack baseline monitors.
+// Tests for the naive, recompute and slack baseline monitors (native role
+// pairs, driven through exp::run_scenario or by hand).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
-#include "core/naive_monitor.hpp"
-#include "core/recompute_monitor.hpp"
-#include "core/runner.hpp"
-#include "core/slack_monitor.hpp"
-#include "streams/factory.hpp"
+#include "core/naive_roles.hpp"
+#include "core/recompute_roles.hpp"
+#include "core/slack_roles.hpp"
+#include "exp/scenario.hpp"
+#include "native_rig.hpp"
 
 namespace topkmon {
 namespace {
 
-RunConfig small_cfg(std::size_t n, std::size_t k, std::size_t steps,
-                    std::uint64_t seed) {
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = steps;
-  cfg.seed = seed;
-  return cfg;
-}
+using rig::Rig;
 
-StreamSet walk_streams(std::size_t n, std::uint64_t seed, Value step = 2'000) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = step;
-  return make_stream_set(spec, n, seed);
+exp::Scenario walk_scenario(const std::string& monitor, std::size_t n,
+                            std::size_t k, std::size_t steps,
+                            std::uint64_t seed, Value step = 2'000) {
+  exp::Scenario sc;
+  sc.monitor = monitor;
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = step;
+  sc.n = n;
+  sc.k = k;
+  sc.steps = steps;
+  sc.seed = seed;
+  return sc;
 }
 
 // ---------------------------------------------------------------- naive --
 
 TEST(NaiveMonitor, RejectsBadK) {
-  EXPECT_THROW(NaiveMonitor(0), std::invalid_argument);
+  EXPECT_THROW(NaiveCoordinator(0, false), std::invalid_argument);
 }
 
 TEST(NaiveMonitor, AlwaysCorrectOnWalks) {
-  auto streams = walk_streams(8, 5);
-  NaiveMonitor m(3);
-  const auto result = run_monitor(m, streams, small_cfg(8, 3, 300, 5));
+  const auto result = exp::run_scenario(walk_scenario("naive", 8, 3, 300, 5));
   EXPECT_TRUE(result.correct);
 }
 
 TEST(NaiveMonitor, SendsNPerStep) {
-  auto streams = walk_streams(8, 7);
-  NaiveMonitor m(2);
-  const auto result = run_monitor(m, streams, small_cfg(8, 2, 100, 7));
+  const auto result = exp::run_scenario(walk_scenario("naive", 8, 2, 100, 7));
   // Every node reports every step (101 steps including init).
   EXPECT_EQ(result.comm.upstream(), 8u * 101u);
   EXPECT_EQ(result.comm.broadcast(), 0u);
@@ -53,18 +50,12 @@ TEST(NaiveMonitor, SendsNPerStep) {
 
 TEST(NaiveMonitor, OnChangeVariantSendsLess) {
   // Rotating-max streams keep most nodes constant most of the time.
-  StreamSpec spec;
-  spec.family = StreamFamily::kRotatingMax;
-  spec.enforce_distinct = false;
-  auto s1 = make_stream_set(spec, 8, 9);
-  NaiveMonitor every(2);
-  const auto r1 = run_monitor(every, s1, small_cfg(8, 2, 200, 9));
-
-  auto s2 = make_stream_set(spec, 8, 9);
-  NaiveMonitor::Options opts;
-  opts.send_on_change_only = true;
-  NaiveMonitor on_change(2, opts);
-  const auto r2 = run_monitor(on_change, s2, small_cfg(8, 2, 200, 9));
+  exp::Scenario sc = walk_scenario("naive", 8, 2, 200, 9);
+  sc.stream.family = StreamFamily::kRotatingMax;
+  sc.stream.enforce_distinct = false;
+  const auto r1 = exp::run_scenario(sc);
+  sc.monitor = "naive_chg";
+  const auto r2 = exp::run_scenario(sc);
 
   EXPECT_TRUE(r1.correct);
   EXPECT_TRUE(r2.correct);
@@ -72,44 +63,36 @@ TEST(NaiveMonitor, OnChangeVariantSendsLess) {
 }
 
 TEST(NaiveMonitor, NamesDistinguishVariants) {
-  NaiveMonitor a(1);
-  NaiveMonitor::Options opts;
-  opts.send_on_change_only = true;
-  NaiveMonitor b(1, opts);
-  EXPECT_EQ(a.name(), "naive");
-  EXPECT_EQ(b.name(), "naive_on_change");
+  EXPECT_EQ(NaiveCoordinator(1, false).name(), "naive");
+  EXPECT_EQ(NaiveCoordinator(1, true).name(), "naive_on_change");
 }
 
 // ------------------------------------------------------------ recompute --
 
 TEST(RecomputeMonitor, RejectsBadK) {
-  EXPECT_THROW(RecomputeMonitor(0), std::invalid_argument);
+  EXPECT_THROW(RecomputeCoordinator(0), std::invalid_argument);
+  Rig r("recompute", 5, 3);
+  EXPECT_THROW(r.init({1, 2, 3}), std::invalid_argument);
 }
 
 TEST(RecomputeMonitor, AlwaysCorrectOnWalks) {
-  auto streams = walk_streams(10, 11);
-  RecomputeMonitor m(3);
-  const auto result = run_monitor(m, streams, small_cfg(10, 3, 300, 11));
+  const auto result =
+      exp::run_scenario(walk_scenario("recompute", 10, 3, 300, 11));
   EXPECT_TRUE(result.correct);
 }
 
 TEST(RecomputeMonitor, AlwaysCorrectOnRotatingMax) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRotatingMax;
-  auto streams = make_stream_set(spec, 8, 13);
-  RecomputeMonitor m(2);
-  const auto result = run_monitor(m, streams, small_cfg(8, 2, 200, 13));
+  exp::Scenario sc = walk_scenario("recompute", 8, 2, 200, 13);
+  sc.stream = StreamSpec{};
+  sc.stream.family = StreamFamily::kRotatingMax;
+  const auto result = exp::run_scenario(sc);
   EXPECT_TRUE(result.correct);
 }
 
 TEST(RecomputeMonitor, CostsEveryStepEvenWhenStill) {
   // Constant values: filters would be silent, recompute still pays.
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 0;
-  auto streams = make_stream_set(spec, 8, 15);
-  RecomputeMonitor m(2);
-  const auto result = run_monitor(m, streams, small_cfg(8, 2, 100, 15));
+  const auto result = exp::run_scenario(
+      walk_scenario("recompute", 8, 2, 100, 15, /*step=*/0));
   EXPECT_TRUE(result.correct);
   // k protocol runs per step, each with >= 1 report + >= 1 announce.
   EXPECT_GE(result.comm.total(), 100u * 2u * 2u);
@@ -119,78 +102,58 @@ TEST(RecomputeMonitor, CostsEveryStepEvenWhenStill) {
 // ---------------------------------------------------------------- slack --
 
 TEST(SlackMonitor, RejectsBadParams) {
-  EXPECT_THROW(SlackMonitor(0), std::invalid_argument);
-  SlackMonitor::Options bad;
+  EXPECT_THROW(SlackCoordinator(0), std::invalid_argument);
+  SlackCoordinator::Options bad;
   bad.alpha = 0.0;
-  EXPECT_THROW(SlackMonitor(1, bad), std::invalid_argument);
+  EXPECT_THROW(SlackCoordinator(1, bad), std::invalid_argument);
   bad.alpha = 1.0;
-  EXPECT_THROW(SlackMonitor(1, bad), std::invalid_argument);
+  EXPECT_THROW(SlackCoordinator(1, bad), std::invalid_argument);
 }
 
 TEST(SlackMonitor, NamesDistinguishVariants) {
-  SlackMonitor fixed(1);
-  SlackMonitor::Options opts;
+  SlackCoordinator::Options opts;
   opts.adaptive = true;
-  SlackMonitor adaptive(1, opts);
-  EXPECT_EQ(fixed.name(), "slack_fixed");
-  EXPECT_EQ(adaptive.name(), "slack_adaptive");
+  EXPECT_EQ(SlackCoordinator(1).name(), "slack_fixed");
+  EXPECT_EQ(SlackCoordinator(1, opts).name(), "slack_adaptive");
 }
 
 TEST(SlackMonitor, CorrectOnWalks) {
-  auto streams = walk_streams(10, 17);
-  SlackMonitor m(3);
-  const auto result = run_monitor(m, streams, small_cfg(10, 3, 500, 17));
+  const auto result = exp::run_scenario(walk_scenario("slack", 10, 3, 500, 17));
   EXPECT_TRUE(result.correct);
 }
 
 TEST(SlackMonitor, CorrectWithAsymmetricAlpha) {
-  for (const double alpha : {0.1, 0.9}) {
-    auto streams = walk_streams(10, 19);
-    SlackMonitor::Options opts;
-    opts.alpha = alpha;
-    SlackMonitor m(3, opts);
-    const auto result = run_monitor(m, streams, small_cfg(10, 3, 400, 19));
+  for (const std::string alpha : {"0.1", "0.9"}) {
+    const auto result = exp::run_scenario(
+        walk_scenario("slack?alpha=" + alpha, 10, 3, 400, 19));
     EXPECT_TRUE(result.correct) << "alpha=" << alpha;
   }
 }
 
 TEST(SlackMonitor, AdaptiveVariantCorrect) {
-  auto streams = walk_streams(10, 21);
-  SlackMonitor::Options opts;
-  opts.adaptive = true;
-  SlackMonitor m(3, opts);
-  const auto result = run_monitor(m, streams, small_cfg(10, 3, 500, 21));
+  const auto result =
+      exp::run_scenario(walk_scenario("slack?adaptive", 10, 3, 500, 21));
   EXPECT_TRUE(result.correct);
 }
 
 TEST(SlackMonitor, BoundaryWithinGapAfterInit) {
-  Cluster c(4, 23);
-  c.set_value(0, 100);
-  c.set_value(1, 80);
-  c.set_value(2, 20);
-  c.set_value(3, 10);
-  SlackMonitor m(2);
-  m.initialize(c);
-  EXPECT_GE(m.boundary(), 20);
-  EXPECT_LE(m.boundary(), 80);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1}));
+  Rig r("slack", 2, 4, 23);
+  r.init({100, 80, 20, 10});
+  EXPECT_GE(r.coord<SlackCoordinator>().boundary(), 20);
+  EXPECT_LE(r.coord<SlackCoordinator>().boundary(), 80);
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(SlackMonitor, DegenerateKEqualsNSilent) {
-  Cluster c(3, 1);
-  c.set_value(0, 5);
-  c.set_value(1, 6);
-  c.set_value(2, 7);
-  SlackMonitor m(3);
-  m.initialize(c);
-  EXPECT_EQ(c.stats().total(), 0u);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1, 2}));
+  Rig r("slack", 3, 3);
+  r.init({5, 6, 7});
+  EXPECT_EQ(r.comm().total(), 0u);
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1, 2}));
 }
 
 TEST(SlackMonitor, UsesPollsNotProtocols) {
-  auto streams = walk_streams(10, 25, /*step=*/20'000);
-  SlackMonitor m(3);
-  const auto result = run_monitor(m, streams, small_cfg(10, 3, 300, 25));
+  const auto result = exp::run_scenario(
+      walk_scenario("slack", 10, 3, 300, 25, /*step=*/20'000));
   EXPECT_TRUE(result.correct);
   EXPECT_GT(result.monitor.polls, 0u);
   EXPECT_EQ(result.monitor.protocol_runs, 0u);

@@ -1,117 +1,97 @@
-// Tests for the Lam-style full-order dominance monitor.
-#include "core/dominance_monitor.hpp"
-
+// Tests for the Lam-style full-order dominance monitor (native role pair).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/dominance_roles.hpp"
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "streams/factory.hpp"
+#include "exp/scenario.hpp"
+#include "native_rig.hpp"
 
 namespace topkmon {
 namespace {
 
-RunConfig cfg_of(std::size_t n, std::size_t k, std::size_t steps,
-                 std::uint64_t seed) {
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = steps;
-  cfg.seed = seed;
-  return cfg;
+using rig::Rig;
+
+exp::Scenario dominance_scenario(std::size_t n, std::size_t k,
+                                 std::size_t steps, std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.monitor = "dominance";
+  sc.n = n;
+  sc.k = k;
+  sc.steps = steps;
+  sc.seed = seed;
+  return sc;
+}
+
+std::vector<NodeId> full_order(const Rig& r) {
+  return r.coord<DominanceCoordinator>().full_order();
 }
 
 TEST(DominanceMonitor, RejectsBadK) {
-  EXPECT_THROW(DominanceMonitor(0), std::invalid_argument);
+  EXPECT_THROW(DominanceCoordinator(0), std::invalid_argument);
 }
 
 TEST(DominanceMonitor, InitializationOrdersEverything) {
-  Cluster c(5, 1);
-  const std::vector<Value> values{30, 10, 50, 20, 40};
-  for (NodeId i = 0; i < 5; ++i) c.set_value(i, values[i]);
-  DominanceMonitor m(2);
-  m.initialize(c);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{2, 4}));
-  EXPECT_EQ(m.full_order(), (std::vector<NodeId>{2, 4, 0, 3, 1}));
+  Rig r("dominance", 2, 5);
+  r.init({30, 10, 50, 20, 40});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{2, 4}));
+  EXPECT_EQ(full_order(r), (std::vector<NodeId>{2, 4, 0, 3, 1}));
   // Init costs 1 shout + n echoes + n filter unicasts.
-  EXPECT_EQ(c.stats().broadcast(), 1u);
-  EXPECT_EQ(c.stats().upstream(), 5u);
-  EXPECT_EQ(c.stats().unicast(), 5u);
+  EXPECT_EQ(r.comm().broadcast(), 1u);
+  EXPECT_EQ(r.comm().upstream(), 5u);
+  EXPECT_EQ(r.comm().unicast(), 5u);
 }
 
 TEST(DominanceMonitor, QuietWhenValuesStayInSlots) {
-  Cluster c(4, 3);
-  const std::vector<Value> values{400, 300, 200, 100};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  DominanceMonitor m(2);
-  m.initialize(c);
-  const auto baseline = c.stats().total();
+  Rig r("dominance", 2, 4, 3);
+  r.init({400, 300, 200, 100});
+  const auto baseline = r.comm().total();
   // Wiggle without crossing midpoints (+-10 around spaced-by-100 values).
-  c.set_value(0, 410);
-  c.set_value(1, 295);
-  c.set_value(2, 205);
-  c.set_value(3, 95);
-  m.step(c, 1);
-  EXPECT_EQ(c.stats().total(), baseline);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1}));
+  r.step({410, 295, 205, 95});
+  EXPECT_EQ(r.comm().total(), baseline);
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(DominanceMonitor, AdjacentSwapHandled) {
-  Cluster c(4, 5);
-  const std::vector<Value> values{400, 300, 200, 100};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  DominanceMonitor m(2);
-  m.initialize(c);
+  Rig r("dominance", 2, 4, 5);
+  r.init({400, 300, 200, 100});
   // Nodes 1 and 2 swap.
-  c.set_value(1, 190);
-  c.set_value(2, 310);
-  m.step(c, 1);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 2}));
-  EXPECT_EQ(m.full_order(), (std::vector<NodeId>{0, 2, 1, 3}));
+  r.step({400, 190, 310, 100});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(full_order(r), (std::vector<NodeId>{0, 2, 1, 3}));
 }
 
 TEST(DominanceMonitor, PaysForIrrelevantSwaps) {
   // The §3.1 argument: an order change far below the k-boundary costs the
   // dominance tracker messages although the top-k set is unaffected.
-  Cluster c(6, 7);
-  const std::vector<Value> values{600, 500, 400, 300, 200, 100};
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, values[i]);
-  DominanceMonitor m(1);
-  m.initialize(c);
-  const auto baseline = c.stats().total();
-  c.set_value(4, 95);  // nodes 4 and 5 swap, far from the top
-  c.set_value(5, 205);
-  m.step(c, 1);
-  EXPECT_GT(c.stats().total(), baseline);  // messages despite unchanged top-1
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0}));
+  Rig r("dominance", 1, 6, 7);
+  r.init({600, 500, 400, 300, 200, 100});
+  const auto baseline = r.comm().total();
+  r.step({600, 500, 400, 300, 95, 205});  // nodes 4 and 5 swap, far down
+  EXPECT_GT(r.comm().total(), baseline);  // messages despite unchanged top-1
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0}));
 }
 
 TEST(DominanceMonitor, LongWalkStaysCorrect) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 3'000;
-  auto streams = make_stream_set(spec, 10, 11);
-  DominanceMonitor m(3);
-  const auto result = run_monitor(m, streams, cfg_of(10, 3, 1'000, 11));
-  EXPECT_TRUE(result.correct);
+  exp::Scenario sc = dominance_scenario(10, 3, 1'000, 11);
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 3'000;
+  EXPECT_TRUE(exp::run_scenario(sc).correct);
 }
 
 TEST(DominanceMonitor, CorrectUnderTies) {
   // The w-space transform must keep the monitor deterministic and correct
-  // even when raw values tie (weak validation accepts any tie-break, and
-  // the w order actually matches the strict (value, id) ground truth).
-  StreamSpec spec;
-  spec.family = StreamFamily::kIidUniform;
-  spec.iid_lo = 0;
-  spec.iid_hi = 5;  // heavy ties
-  spec.enforce_distinct = false;
-  auto streams = make_stream_set(spec, 6, 13);
-  DominanceMonitor m(2);
-  auto cfg = cfg_of(6, 2, 300, 13);
-  cfg.validation = RunConfig::Validation::kStrict;
-  const auto result = run_monitor(m, streams, cfg);
-  EXPECT_TRUE(result.correct);
+  // even when raw values tie (the w order matches the strict (value, id)
+  // ground truth).
+  exp::Scenario sc = dominance_scenario(6, 2, 300, 13);
+  sc.stream.family = StreamFamily::kIidUniform;
+  sc.stream.iid_lo = 0;
+  sc.stream.iid_hi = 5;  // heavy ties
+  sc.stream.enforce_distinct = false;
+  sc.validation = RunConfig::Validation::kStrict;
+  EXPECT_TRUE(exp::run_scenario(sc).correct);
 }
 
 TEST(DominanceMonitor, FullOrderMatchesGroundTruthOverWalk) {
@@ -119,14 +99,17 @@ TEST(DominanceMonitor, FullOrderMatchesGroundTruthOverWalk) {
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 10'000;
   auto streams = make_stream_set(spec, 8, 17);
-  Cluster c(8, 17);
-  DominanceMonitor m(3);
-  for (NodeId i = 0; i < 8; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  Rig r("dominance", 3, 8, 17);
+  std::vector<Value> values(8);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 8; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  r.init(values);
   for (TimeStep t = 1; t <= 500; ++t) {
-    for (NodeId i = 0; i < 8; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    ASSERT_EQ(m.full_order(), true_topk_ordered(c, 8)) << "t=" << t;
+    observe();
+    r.step(values);
+    ASSERT_EQ(full_order(r), true_topk_ordered(r.cluster(), 8)) << "t=" << t;
   }
 }
 
@@ -134,12 +117,10 @@ TEST(DominanceMonitor, CostExceedsTopkFilterOnDeepChurn) {
   // Crossing pairs churn the order at every depth; a top-k algorithm only
   // cares about the boundary pair. (Quantified properly in bench E8; here
   // just assert the dominance tracker is busy.)
-  StreamSpec spec;
-  spec.family = StreamFamily::kCrossingPairs;
-  spec.crossing.period = 16;
-  auto streams = make_stream_set(spec, 12, 19);
-  DominanceMonitor m(2);
-  const auto result = run_monitor(m, streams, cfg_of(12, 2, 300, 19));
+  exp::Scenario sc = dominance_scenario(12, 2, 300, 19);
+  sc.stream.family = StreamFamily::kCrossingPairs;
+  sc.stream.crossing.period = 16;
+  const auto result = exp::run_scenario(sc);
   EXPECT_TRUE(result.correct);
   EXPECT_GT(result.monitor.violations, 300u);  // every pair churns
 }

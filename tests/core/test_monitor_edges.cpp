@@ -1,124 +1,105 @@
 // Edge-case battery shared across all monitoring algorithms: tiny systems,
 // extreme magnitudes, frozen streams, step discontinuities, negative
-// values, and n = 1 degeneracies.
+// values, and n = 1 degeneracies — every monitor through exp::run_scenario.
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
+#include <string>
 
-#include "core/approx_monitor.hpp"
-#include "core/dominance_monitor.hpp"
-#include "core/multik_monitor.hpp"
-#include "core/naive_monitor.hpp"
-#include "core/ordered_topk_monitor.hpp"
-#include "core/recompute_monitor.hpp"
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/slack_monitor.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
+#include "core/multik_roles.hpp"
+#include "exp/scenario.hpp"
+#include "native_rig.hpp"
 #include "streams/trace.hpp"
 
 namespace topkmon {
 namespace {
 
-std::unique_ptr<MonitorBase> make_monitor(const std::string& which,
-                                          std::size_t k) {
-  if (which == "topk_filter") return std::make_unique<TopkFilterMonitor>(k);
-  if (which == "naive") return std::make_unique<NaiveMonitor>(k);
-  if (which == "recompute") return std::make_unique<RecomputeMonitor>(k);
-  if (which == "dominance") return std::make_unique<DominanceMonitor>(k);
-  if (which == "slack") return std::make_unique<SlackMonitor>(k);
-  if (which == "ordered") return std::make_unique<OrderedTopkMonitor>(k);
-  if (which == "approx") return std::make_unique<ApproxTopkMonitor>(k);
-  throw std::invalid_argument("unknown monitor " + which);
+const std::string kAllMonitors[] = {"topk_filter", "naive",   "recompute",
+                                    "dominance",   "slack",   "ordered",
+                                    "approx"};
+
+exp::Scenario edge_scenario(const std::string& monitor, std::size_t n,
+                            std::size_t k, std::size_t steps,
+                            std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.monitor = monitor;
+  sc.n = n;
+  sc.k = k;
+  sc.steps = steps;
+  sc.seed = seed;
+  return sc;
 }
 
-const std::string kAllMonitors[] = {"topk_filter", "naive",   "recompute",
-                              "dominance",   "slack",   "ordered",
-                              "approx"};
+/// Runs `sc` over `trace` (steps = trace length - 1) and returns the
+/// result; `final_answer` receives the coordinator's last answer.
+RunResult run_trace(exp::Scenario sc, const TraceMatrix& trace,
+                    std::vector<NodeId>* final_answer = nullptr) {
+  sc.steps = trace.steps() - 1;
+  sc.record_series = true;
+  if (final_answer != nullptr) {
+    sc.on_step = [final_answer](TimeStep, const std::vector<Value>&,
+                                const std::vector<NodeId>& answer) {
+      *final_answer = answer;
+    };
+  }
+  auto streams = trace.to_stream_set();
+  return exp::run_scenario(sc, streams);
+}
 
 class AllMonitors : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllMonitors, SingleNodeSystem) {
-  auto monitor = make_monitor(GetParam(), 1);
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  auto streams = make_stream_set(spec, 1, 3);
-  RunConfig cfg;
-  cfg.n = 1;
-  cfg.k = 1;
-  cfg.steps = 50;
-  cfg.seed = 3;
-  const auto r = run_monitor(*monitor, streams, cfg);
+  exp::Scenario sc = edge_scenario(GetParam(), 1, 1, 50, 3);
+  sc.stream.family = StreamFamily::kRandomWalk;
+  std::vector<NodeId> answer;
+  sc.on_step = [&](TimeStep, const std::vector<Value>&,
+                   const std::vector<NodeId>& a) { answer = a; };
+  const auto r = exp::run_scenario(sc);
   EXPECT_TRUE(r.correct);
-  EXPECT_EQ(monitor->topk(), (std::vector<NodeId>{0}));
+  EXPECT_EQ(answer, (std::vector<NodeId>{0}));
 }
 
 TEST_P(AllMonitors, TwoNodesRepeatedSwaps) {
-  auto monitor = make_monitor(GetParam(), 1);
   TraceMatrix trace(2, 40);
   for (std::size_t t = 0; t < 40; ++t) {
     trace.at(t, 0) = (t % 2 == 0) ? 100 : 10;
     trace.at(t, 1) = (t % 2 == 0) ? 10 : 100;
   }
-  auto streams = trace.to_stream_set();
-  RunConfig cfg;
-  cfg.n = 2;
-  cfg.k = 1;
-  cfg.steps = 39;
-  cfg.seed = 5;
-  const auto r = run_monitor(*monitor, streams, cfg);
+  const auto r = run_trace(edge_scenario(GetParam(), 2, 1, 0, 5), trace);
   EXPECT_TRUE(r.correct);
 }
 
 TEST_P(AllMonitors, FrozenStreamsGoQuietAfterInit) {
-  auto monitor = make_monitor(GetParam(), 2);
   TraceMatrix trace(6, 30);
   for (std::size_t t = 0; t < 30; ++t) {
     for (NodeId i = 0; i < 6; ++i) {
       trace.at(t, i) = 100 * (static_cast<Value>(i) + 1);
     }
   }
-  auto streams = trace.to_stream_set();
-  Cluster c(6, 7);
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-  monitor->initialize(c);
-  const auto after_init = c.stats().total();
-  for (TimeStep t = 1; t < 30; ++t) {
-    for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-    monitor->step(c, t);
-  }
+  const auto r = run_trace(edge_scenario(GetParam(), 6, 2, 0, 7), trace);
+  const auto after_init = r.comm.series().at(0);
   if (GetParam() == "naive" || GetParam() == "recompute") {
-    EXPECT_GT(c.stats().total(), after_init);  // these always pay
+    EXPECT_GT(r.comm.total(), after_init);  // these always pay
   } else {
-    EXPECT_EQ(c.stats().total(), after_init)
+    EXPECT_EQ(r.comm.total(), after_init)
         << GetParam() << " must be silent on frozen values";
   }
 }
 
 TEST_P(AllMonitors, NegativeValueRegime) {
-  auto monitor = make_monitor(GetParam(), 2);
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.lo = -2'000'000;
-  spec.walk.hi = -1'000'000;
-  spec.walk.max_step = 3'000;
-  auto streams = make_stream_set(spec, 8, 9);
-  RunConfig cfg;
-  cfg.n = 8;
-  cfg.k = 2;
-  cfg.steps = 300;
-  cfg.seed = 9;
-  const auto r = run_monitor(*monitor, streams, cfg);
-  EXPECT_TRUE(r.correct);
+  exp::Scenario sc = edge_scenario(GetParam(), 8, 2, 300, 9);
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.lo = -2'000'000;
+  sc.stream.walk.hi = -1'000'000;
+  sc.stream.walk.max_step = 3'000;
+  EXPECT_TRUE(exp::run_scenario(sc).correct);
 }
 
 TEST_P(AllMonitors, HugeMagnitudeJumps) {
   // Alternating extreme magnitudes (quarter of the int64 range so the
   // distinctness transform and midpoints stay exact).
   const Value big = std::numeric_limits<Value>::max() / 8;
-  auto monitor = make_monitor(GetParam(), 1);
   TraceMatrix trace(4, 20);
   for (std::size_t t = 0; t < 20; ++t) {
     trace.at(t, 0) = (t % 3 == 0) ? big : -big;
@@ -126,29 +107,15 @@ TEST_P(AllMonitors, HugeMagnitudeJumps) {
     trace.at(t, 2) = -big / 2;
     trace.at(t, 3) = static_cast<Value>(t);
   }
-  auto streams = trace.to_stream_set();
-  RunConfig cfg;
-  cfg.n = 4;
-  cfg.k = 1;
-  cfg.steps = 19;
-  cfg.seed = 11;
-  const auto r = run_monitor(*monitor, streams, cfg);
+  const auto r = run_trace(edge_scenario(GetParam(), 4, 1, 0, 11), trace);
   EXPECT_TRUE(r.correct);
 }
 
 TEST_P(AllMonitors, KJustBelowN) {
-  auto monitor = make_monitor(GetParam(), 7);
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 5'000;
-  auto streams = make_stream_set(spec, 8, 13);
-  RunConfig cfg;
-  cfg.n = 8;
-  cfg.k = 7;
-  cfg.steps = 300;
-  cfg.seed = 13;
-  const auto r = run_monitor(*monitor, streams, cfg);
-  EXPECT_TRUE(r.correct);
+  exp::Scenario sc = edge_scenario(GetParam(), 8, 7, 300, 13);
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 5'000;
+  EXPECT_TRUE(exp::run_scenario(sc).correct);
 }
 
 INSTANTIATE_TEST_SUITE_P(Battery, AllMonitors,
@@ -172,16 +139,10 @@ TEST(MonitorAgreement, AllAlgorithmsAgreeOnChurnyTrace) {
   }
   std::vector<std::vector<NodeId>> answers;
   for (const auto& name : kAllMonitors) {
-    auto streams = trace.to_stream_set();
-    auto monitor = make_monitor(name, 2);
-    RunConfig cfg;
-    cfg.n = 5;
-    cfg.k = 2;
-    cfg.steps = 59;
-    cfg.seed = 21;
-    const auto r = run_monitor(*monitor, streams, cfg);
+    std::vector<NodeId> answer;
+    const auto r = run_trace(edge_scenario(name, 5, 2, 0, 21), trace, &answer);
     EXPECT_TRUE(r.correct) << name;
-    answers.push_back(monitor->topk());
+    answers.push_back(answer);
   }
   for (std::size_t i = 1; i < answers.size(); ++i) {
     EXPECT_EQ(answers[i], answers[0]);
@@ -193,12 +154,10 @@ TEST(MonitorAgreement, AllAlgorithmsAgreeOnChurnyTrace) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiKEdges, SingleNodeSingleK) {
-  Cluster c(1, 1);
-  c.set_value(0, 5);
-  MultiKMonitor m({1});
-  m.initialize(c);  // k == n: degenerate
-  EXPECT_EQ(m.topk_for(1), (std::vector<NodeId>{0}));
-  EXPECT_EQ(c.stats().total(), 0u);
+  rig::Rig r("multi_k?ks=1", 1, 1);
+  r.init({5});  // k == n: degenerate
+  EXPECT_EQ(r.coord<MultiKCoordinator>().topk_for(1), (std::vector<NodeId>{0}));
+  EXPECT_EQ(r.comm().total(), 0u);
 }
 
 TEST(MultiKEdges, DenseBoundaries) {
@@ -207,15 +166,20 @@ TEST(MultiKEdges, DenseBoundaries) {
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 4'000;
   auto streams = make_stream_set(spec, 6, 23);
-  Cluster c(6, 23);
-  MultiKMonitor m({1, 2, 3, 4, 5});
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  rig::Rig r("multi_k?ks=1+2+3+4+5", 1, 6, 23);
+  std::vector<Value> values(6);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 6; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  r.init(values);
+  const auto& m = r.coord<MultiKCoordinator>();
   for (TimeStep t = 1; t <= 300; ++t) {
-    for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
+    observe();
+    r.step(values);
     for (std::size_t k = 1; k <= 5; ++k) {
-      ASSERT_EQ(m.topk_for(k), true_topk_set(c, k)) << "k=" << k << " t=" << t;
+      ASSERT_EQ(m.topk_for(k), true_topk_set(r.cluster(), k))
+          << "k=" << k << " t=" << t;
     }
   }
 }

@@ -1,95 +1,104 @@
-// Tests for the multi-k monitor: every monitored boundary correct at every
-// step, shared resets, degenerate configurations.
-#include "core/multik_monitor.hpp"
-
+// Tests for the multi-k monitor (native role pair): every monitored
+// boundary correct at every step, shared resets, degenerate
+// configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
+#include "core/multik_roles.hpp"
+#include "exp/scenario.hpp"
+#include "native_rig.hpp"
 
 namespace topkmon {
 namespace {
 
+using rig::Rig;
+
+const MultiKCoordinator& multi(const Rig& r) {
+  return r.coord<MultiKCoordinator>();
+}
+
 TEST(MultiK, RejectsBadKs) {
-  EXPECT_THROW(MultiKMonitor({}), std::invalid_argument);
-  EXPECT_THROW(MultiKMonitor({0}), std::invalid_argument);
-  EXPECT_THROW(MultiKMonitor({3, 3}), std::invalid_argument);
-  EXPECT_THROW(MultiKMonitor({4, 2}), std::invalid_argument);
+  EXPECT_THROW(MultiKCoordinator({}), std::invalid_argument);
+  EXPECT_THROW(MultiKCoordinator({0}), std::invalid_argument);
+  EXPECT_THROW(MultiKCoordinator({3, 3}), std::invalid_argument);
+  EXPECT_THROW(MultiKCoordinator({4, 2}), std::invalid_argument);
 }
 
 TEST(MultiK, RejectsKLargerThanN) {
-  MultiKMonitor m({2, 9});
-  Cluster c(5, 1);
-  EXPECT_THROW(m.initialize(c), std::invalid_argument);
+  Rig r("multi_k?ks=2+9", 2, 5);
+  EXPECT_THROW(r.init({1, 2, 3, 4, 5}), std::invalid_argument);
 }
 
 TEST(MultiK, InitializationAllBoundaries) {
-  Cluster c(6, 1);
-  const std::vector<Value> values{60, 50, 40, 30, 20, 10};
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, values[i]);
-  MultiKMonitor m({1, 3, 5});
-  m.initialize(c);
-  EXPECT_EQ(m.topk_for(1), (std::vector<NodeId>{0}));
-  EXPECT_EQ(m.topk_for(3), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(m.topk_for(5), (std::vector<NodeId>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0}));  // MonitorBase = smallest k
-  EXPECT_THROW(m.topk_for(2), std::invalid_argument);
+  Rig r("multi_k?ks=1+3+5", 1, 6);
+  r.init({60, 50, 40, 30, 20, 10});
+  EXPECT_EQ(multi(r).topk_for(1), (std::vector<NodeId>{0}));
+  EXPECT_EQ(multi(r).topk_for(3), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(multi(r).topk_for(5), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0}));  // answer = smallest k
+  EXPECT_THROW(multi(r).topk_for(2), std::invalid_argument);
 }
 
 TEST(MultiK, TrailingKEqualsNIsDegenerate) {
-  Cluster c(4, 1);
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, 10 * (i + 1));
-  MultiKMonitor m({2, 4});
-  m.initialize(c);
-  EXPECT_EQ(m.topk_for(4), (std::vector<NodeId>{0, 1, 2, 3}));
-  EXPECT_EQ(m.topk_for(2), (std::vector<NodeId>{2, 3}));
+  Rig r("multi_k?ks=2+4", 2, 4);
+  r.init({10, 20, 30, 40});
+  EXPECT_EQ(multi(r).topk_for(4), (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_EQ(multi(r).topk_for(2), (std::vector<NodeId>{2, 3}));
 }
 
 TEST(MultiK, OnlyKEqualsNIsFree) {
-  Cluster c(3, 1);
-  MultiKMonitor m({3});
-  m.initialize(c);
-  EXPECT_EQ(c.stats().total(), 0u);
-  m.step(c, 1);
-  EXPECT_EQ(c.stats().total(), 0u);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1, 2}));
+  Rig r("multi_k?ks=3", 3, 3);
+  r.init({0, 0, 0});
+  EXPECT_EQ(r.comm().total(), 0u);
+  r.step({0, 0, 0});
+  EXPECT_EQ(r.comm().total(), 0u);
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1, 2}));
 }
 
 TEST(MultiK, SingleBoundaryMatchesGroundTruthOverWalk) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 5'000;
-  auto streams = make_stream_set(spec, 10, 7);
-  MultiKMonitor m({3});
-  RunConfig cfg;
-  cfg.n = 10;
-  cfg.k = 3;
-  cfg.steps = 800;
-  cfg.seed = 7;
-  const auto r = run_monitor(m, streams, cfg);
-  EXPECT_TRUE(r.correct);
+  exp::Scenario sc;
+  sc.monitor = "multi_k?ks=3";
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 5'000;
+  sc.n = 10;
+  sc.k = 3;
+  sc.steps = 800;
+  sc.seed = 7;
+  EXPECT_TRUE(exp::run_scenario(sc).correct);
+}
+
+/// Steps a multi-k rig over `steps` observations of `spec` and checks
+/// every boundary in `ks` against the ground truth after each step.
+void expect_all_boundaries_exact(const StreamSpec& spec, std::size_t n,
+                                 std::uint64_t seed, const std::string& ks,
+                                 const std::vector<std::size_t>& kvals,
+                                 std::size_t steps, Rig& r) {
+  auto streams = make_stream_set(spec, n, seed);
+  std::vector<Value> values(n);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < n; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  r.init(values);
+  for (TimeStep t = 1; t <= steps; ++t) {
+    observe();
+    r.step(values);
+    for (const std::size_t k : kvals) {
+      ASSERT_EQ(multi(r).topk_for(k), true_topk_set(r.cluster(), k))
+          << ks << " k=" << k << " t=" << t;
+    }
+  }
 }
 
 TEST(MultiK, AllBoundariesCorrectEveryStep) {
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 4'000;
-  auto streams = make_stream_set(spec, 12, 9);
-  Cluster c(12, 9);
-  MultiKMonitor m({1, 4, 8});
-  for (NodeId i = 0; i < 12; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
-  for (TimeStep t = 1; t <= 800; ++t) {
-    for (NodeId i = 0; i < 12; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    for (const std::size_t k : {1u, 4u, 8u}) {
-      ASSERT_EQ(m.topk_for(k), true_topk_set(c, k)) << "k=" << k << " t=" << t;
-    }
-  }
+  Rig r("multi_k?ks=1+4+8", 1, 12, 9);
+  expect_all_boundaries_exact(spec, 12, 9, "ks=1+4+8", {1, 4, 8}, 800, r);
 }
 
 TEST(MultiK, CorrectOnJumpyStreams) {
@@ -102,74 +111,54 @@ TEST(MultiK, CorrectOnJumpyStreams) {
   spec.bursty.hi = 50'000;  // confined so bursts jump across bands
   spec.bursty.start = 25'000;
   spec.bursty.burst_step = 20'000;
-  auto streams = make_stream_set(spec, 10, 11);
-  Cluster c(10, 11);
-  MultiKMonitor m({2, 5});
-  for (NodeId i = 0; i < 10; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
-  for (TimeStep t = 1; t <= 600; ++t) {
-    for (NodeId i = 0; i < 10; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    ASSERT_EQ(m.topk_for(2), true_topk_set(c, 2)) << "t=" << t;
-    ASSERT_EQ(m.topk_for(5), true_topk_set(c, 5)) << "t=" << t;
-  }
-  EXPECT_GT(m.monitor_stats().filter_resets, 1u);
+  Rig r("multi_k?ks=2+5", 2, 10, 11);
+  expect_all_boundaries_exact(spec, 10, 11, "ks=2+5", {2, 5}, 600, r);
+  EXPECT_GT(r.stats().filter_resets, 1u);
 }
 
 TEST(MultiK, QuietWhenValuesDriftInsideBands) {
-  Cluster c(6, 13);
-  const std::vector<Value> values{6'000, 5'000, 4'000, 3'000, 2'000, 1'000};
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, values[i]);
-  MultiKMonitor m({2, 4});
-  m.initialize(c);
-  const auto baseline = c.stats().total();
-  c.set_value(0, 6'050);
-  c.set_value(3, 2'960);
-  m.step(c, 1);
-  EXPECT_EQ(c.stats().total(), baseline);
+  Rig r("multi_k?ks=2+4", 2, 6, 13);
+  r.init({6'000, 5'000, 4'000, 3'000, 2'000, 1'000});
+  const auto baseline = r.comm().total();
+  r.step({6'050, 5'000, 4'000, 2'960, 2'000, 1'000});
+  EXPECT_EQ(r.comm().total(), baseline);
 }
 
 TEST(MultiK, SharedResetCheaperThanIndependentMonitors) {
-  // Compare against m independent TopkFilterMonitor instances on the same
+  // Compare against m independent topk_filter deployments on the same
   // reset-heavy workload (iid): the shared k_max+1 selection should beat
   // the sum of per-k selections.
-  StreamSpec spec;
-  spec.family = StreamFamily::kIidUniform;
   constexpr std::size_t kN = 64;
   const std::vector<std::size_t> ks{2, 8, 16};
-
-  auto multik_streams = make_stream_set(spec, kN, 15);
-  MultiKMonitor multi(ks);
-  RunConfig cfg;
-  cfg.n = kN;
-  cfg.k = ks.front();
-  cfg.steps = 150;
-  cfg.seed = 15;
-  const auto rm = run_monitor(multi, multik_streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = "multi_k?ks=2+8+16";
+  sc.stream.family = StreamFamily::kIidUniform;
+  sc.n = kN;
+  sc.k = ks.front();
+  sc.steps = 150;
+  sc.seed = 15;
+  const auto rm = exp::run_scenario(sc);
 
   std::uint64_t independent_total = 0;
   for (const std::size_t k : ks) {
-    auto streams = make_stream_set(spec, kN, 15);
-    TopkFilterMonitor single(k);
-    RunConfig c1 = cfg;
-    c1.k = k;
-    independent_total += run_monitor(single, streams, c1).comm.total();
+    exp::Scenario single = sc;
+    single.monitor = "topk_filter";
+    single.k = k;
+    independent_total += exp::run_scenario(single).comm.total();
   }
   EXPECT_LT(rm.comm.total(), independent_total);
 }
 
 TEST(MultiK, DeterministicAcrossRuns) {
   auto run_once_total = [] {
-    StreamSpec spec;
-    spec.family = StreamFamily::kSinusoidal;
-    auto streams = make_stream_set(spec, 10, 17);
-    MultiKMonitor m({2, 5});
-    RunConfig cfg;
-    cfg.n = 10;
-    cfg.k = 2;
-    cfg.steps = 300;
-    cfg.seed = 17;
-    return run_monitor(m, streams, cfg).comm.total();
+    exp::Scenario sc;
+    sc.monitor = "multi_k?ks=2+5";
+    sc.stream.family = StreamFamily::kSinusoidal;
+    sc.n = 10;
+    sc.k = 2;
+    sc.steps = 300;
+    sc.seed = 17;
+    return exp::run_scenario(sc).comm.total();
   };
   EXPECT_EQ(run_once_total(), run_once_total());
 }

@@ -1,146 +1,118 @@
-// Tests for the ordered top-k monitor (§5 future-work variant).
-#include "core/ordered_topk_monitor.hpp"
-
+// Tests for the ordered top-k monitor (§5 future-work variant), as its
+// native role pair.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
+#include "core/ordered_roles.hpp"
+#include "exp/scenario.hpp"
+#include "native_rig.hpp"
 
 namespace topkmon {
 namespace {
 
-RunConfig cfg_of(std::size_t n, std::size_t k, std::size_t steps,
-                 std::uint64_t seed) {
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = steps;
-  cfg.seed = seed;
-  cfg.validate_order = true;
-  return cfg;
+using rig::Rig;
+
+const std::vector<NodeId>& order(const Rig& r) {
+  return r.coord<OrderedCoordinator>().ordered_topk();
+}
+
+/// A rank-order-validated scenario (validate_order: the answer's order
+/// must match the ground truth at every step).
+exp::Scenario ordered_scenario(std::size_t n, std::size_t k,
+                               std::size_t steps, std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.monitor = "ordered";
+  sc.n = n;
+  sc.k = k;
+  sc.steps = steps;
+  sc.seed = seed;
+  sc.validate_order = true;
+  return sc;
 }
 
 TEST(OrderedTopk, RejectsBadK) {
-  EXPECT_THROW(OrderedTopkMonitor(0), std::invalid_argument);
+  EXPECT_THROW(OrderedCoordinator(0), std::invalid_argument);
 }
 
 TEST(OrderedTopk, InitializationOrdersTopK) {
-  Cluster c(5, 1);
-  const std::vector<Value> values{30, 10, 50, 20, 40};
-  for (NodeId i = 0; i < 5; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(3);
-  m.initialize(c);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 2, 4}));
-  EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{2, 4, 0}));
+  Rig r("ordered", 3, 5);
+  r.init({30, 10, 50, 20, 40});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 2, 4}));
+  EXPECT_EQ(order(r), (std::vector<NodeId>{2, 4, 0}));
 }
 
 TEST(OrderedTopk, QuietWhenNothingCrosses) {
-  Cluster c(4, 3);
-  const std::vector<Value> values{4'000, 3'000, 2'000, 1'000};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(2);
-  m.initialize(c);
-  const auto baseline = c.stats().total();
-  c.set_value(0, 4'010);
-  c.set_value(1, 2'990);
-  m.step(c, 1);
-  EXPECT_EQ(c.stats().total(), baseline);
-  EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{0, 1}));
+  Rig r("ordered", 2, 4, 3);
+  r.init({4'000, 3'000, 2'000, 1'000});
+  const auto baseline = r.comm().total();
+  r.step({4'010, 2'990, 2'000, 1'000});
+  EXPECT_EQ(r.comm().total(), baseline);
+  EXPECT_EQ(order(r), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(OrderedTopk, InternalSwapReordersWithoutReset) {
-  Cluster c(4, 5);
-  const std::vector<Value> values{4'000, 3'000, 2'000, 1'000};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(2);
-  m.initialize(c);
-  const auto resets_before = m.monitor_stats().filter_resets;
+  Rig r("ordered", 2, 4, 5);
+  r.init({4'000, 3'000, 2'000, 1'000});
+  const auto resets_before = r.stats().filter_resets;
   // Members 0 and 1 swap; both stay far above the boundary.
-  c.set_value(0, 2'900);
-  c.set_value(1, 3'900);
-  m.step(c, 1);
-  EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{1, 0}));
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1}));  // set unchanged
-  EXPECT_EQ(m.monitor_stats().filter_resets, resets_before);
+  r.step({2'900, 3'900, 2'000, 1'000});
+  EXPECT_EQ(order(r), (std::vector<NodeId>{1, 0}));
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1}));  // set unchanged
+  EXPECT_EQ(r.stats().filter_resets, resets_before);
 }
 
 TEST(OrderedTopk, BoundaryCrossingChangesSet) {
-  Cluster c(4, 7);
-  const std::vector<Value> values{4'000, 3'000, 2'000, 1'000};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(2);
-  m.initialize(c);
-  c.set_value(1, 500);   // member collapses
-  c.set_value(2, 3'500); // outsider rises
-  m.step(c, 1);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 2}));
-  EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{0, 2}));
+  Rig r("ordered", 2, 4, 7);
+  r.init({4'000, 3'000, 2'000, 1'000});
+  r.step({4'000, 500, 3'500, 1'000});  // member collapses, outsider rises
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(order(r), (std::vector<NodeId>{0, 2}));
 }
 
 TEST(OrderedTopk, KEqualsOneDegeneratesToMaxTracking) {
-  Cluster c(6, 9);
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, 10 * (i + 1));
-  OrderedTopkMonitor m(1);
-  m.initialize(c);
-  EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{5}));
-  c.set_value(0, 1'000);
-  m.step(c, 1);
-  EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{0}));
+  Rig r("ordered", 1, 6, 9);
+  r.init({10, 20, 30, 40, 50, 60});
+  EXPECT_EQ(order(r), (std::vector<NodeId>{5}));
+  r.step({1'000, 20, 30, 40, 50, 60});
+  EXPECT_EQ(order(r), (std::vector<NodeId>{0}));
 }
 
 TEST(OrderedTopk, KEqualsNOrdersEverything) {
-  Cluster c(4, 11);
-  const std::vector<Value> values{20, 40, 10, 30};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(4);
-  m.initialize(c);
-  EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{1, 3, 0, 2}));
+  Rig r("ordered", 4, 4, 11);
+  r.init({20, 40, 10, 30});
+  EXPECT_EQ(order(r), (std::vector<NodeId>{1, 3, 0, 2}));
   // Swap two nodes; order must follow.
-  c.set_value(0, 45);
-  m.step(c, 1);
-  EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{0, 1, 3, 2}));
+  r.step({45, 40, 10, 30});
+  EXPECT_EQ(order(r), (std::vector<NodeId>{0, 1, 3, 2}));
 }
 
 TEST(OrderedTopk, LongWalkOrderAlwaysCorrect) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 3'000;
-  auto streams = make_stream_set(spec, 10, 13);
-  OrderedTopkMonitor m(4);
-  const auto result = run_monitor(m, streams, cfg_of(10, 4, 1'000, 13));
-  EXPECT_TRUE(result.correct);
+  exp::Scenario sc = ordered_scenario(10, 4, 1'000, 13);
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 3'000;
+  EXPECT_TRUE(exp::run_scenario(sc).correct);
 }
 
 TEST(OrderedTopk, SinusoidalRotationsCorrect) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kSinusoidal;
-  spec.sinus.period = 80.0;
-  spec.sinus.amplitude = 400.0;
-  auto streams = make_stream_set(spec, 8, 15);
-  OrderedTopkMonitor m(3);
-  const auto result = run_monitor(m, streams, cfg_of(8, 3, 600, 15));
-  EXPECT_TRUE(result.correct);
+  exp::Scenario sc = ordered_scenario(8, 3, 600, 15);
+  sc.stream.family = StreamFamily::kSinusoidal;
+  sc.stream.sinus.period = 80.0;
+  sc.stream.sinus.amplitude = 400.0;
+  EXPECT_TRUE(exp::run_scenario(sc).correct);
 }
 
 TEST(OrderedTopk, CostsMoreThanUnorderedVariant) {
   // Maintaining the order cannot be cheaper than maintaining just the set
   // on order-churny inputs (E10 quantifies the overhead).
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 10'000;
-  auto s1 = make_stream_set(spec, 12, 17);
-  OrderedTopkMonitor ordered(4);
-  const auto r1 = run_monitor(ordered, s1, cfg_of(12, 4, 500, 17));
+  exp::Scenario sc = ordered_scenario(12, 4, 500, 17);
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 10'000;
+  const auto r1 = exp::run_scenario(sc);
 
-  auto cfg2 = cfg_of(12, 4, 500, 17);
-  cfg2.validate_order = false;
-  auto s2 = make_stream_set(spec, 12, 17);
-  TopkFilterMonitor plain(4);
-  const auto r2 = run_monitor(plain, s2, cfg2);
+  sc.monitor = "topk_filter";
+  sc.validate_order = false;
+  const auto r2 = exp::run_scenario(sc);
 
   EXPECT_TRUE(r1.correct);
   EXPECT_TRUE(r2.correct);

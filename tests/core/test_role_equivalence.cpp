@@ -1,7 +1,7 @@
 // The load-bearing guarantee of the role-separated redesign: under the
 // instant NetworkSpec, the native event-driven implementations reproduce
-// what their lock-step MonitorBase twins did — same messages of every
-// kind in every step, same answers, same algorithm-event counters. The
+// what their lock-step twins did — same messages of every kind in every
+// step, same answers, same algorithm-event counters. The
 // twins are retired; their runs over this grid are frozen as golden
 // digests (tests/data/role_port_goldens.txt, recorded only where twin and
 // port agreed), and every line here was an exact run: no error step.

@@ -1,241 +1,183 @@
-// Tests for Algorithm 1 (TopkFilterMonitor): correctness on hand-crafted
-// traces, filter validity (Lemma 2.2) at quiescence, reset/halving
-// behaviour, and message accounting.
-#include "core/topk_monitor.hpp"
-
+// Tests for Algorithm 1 (the native topk_filter role pair): correctness on
+// hand-crafted traces, filter validity (Lemma 2.2) at quiescence over the
+// nodes' own installed filters, reset/halving behaviour, and message
+// accounting.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "streams/factory.hpp"
-#include "streams/trace.hpp"
+#include "core/filter_roles.hpp"
+#include "exp/scenario.hpp"
+#include "native_rig.hpp"
 
 namespace topkmon {
 namespace {
 
-/// Applies one step's values and runs the monitor step.
-void apply(Cluster& c, TopkFilterMonitor& m, const std::vector<Value>& values,
-           TimeStep t) {
-  for (NodeId i = 0; i < values.size(); ++i) c.set_value(i, values[i]);
-  m.step(c, t);
-}
+using rig::Rig;
 
-std::vector<Value> snapshot(const Cluster& c) {
-  std::vector<Value> v(c.size());
-  for (NodeId i = 0; i < c.size(); ++i) v[i] = c.value(i);
-  return v;
-}
+Value boundary(const Rig& r) { return r.coord<FilterCoordinator>().boundary(); }
 
 TEST(TopkMonitor, RejectsBadK) {
-  EXPECT_THROW(TopkFilterMonitor(0), std::invalid_argument);
-  TopkFilterMonitor m(5);
-  Cluster c(3, 1);
-  EXPECT_THROW(m.initialize(c), std::invalid_argument);
+  EXPECT_THROW(FilterCoordinator(0), std::invalid_argument);
+  Rig r("topk_filter", 5, 3);
+  EXPECT_THROW(r.init({1, 2, 3}), std::invalid_argument);
 }
 
 TEST(TopkMonitor, InitializationFindsTopK) {
-  Cluster c(5, 1);
-  const std::vector<Value> values{30, 10, 50, 20, 40};
-  for (NodeId i = 0; i < 5; ++i) c.set_value(i, values[i]);
-  TopkFilterMonitor m(2);
-  m.initialize(c);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{2, 4}));
+  Rig r("topk_filter", 2, 5);
+  r.init({30, 10, 50, 20, 40});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{2, 4}));
   // Boundary lies strictly between v_2 = 40 and v_3 = 30.
-  EXPECT_GE(m.boundary(), 30);
-  EXPECT_LE(m.boundary(), 40);
-  EXPECT_EQ(m.monitor_stats().filter_resets, 1u);
+  EXPECT_GE(boundary(r), 30);
+  EXPECT_LE(boundary(r), 40);
+  EXPECT_EQ(r.stats().filter_resets, 1u);
 }
 
 TEST(TopkMonitor, FiltersValidAfterInitialization) {
-  Cluster c(6, 3);
-  const std::vector<Value> values{1, 6, 3, 9, 2, 8};
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, values[i]);
-  TopkFilterMonitor m(3);
-  m.initialize(c);
-  EXPECT_TRUE(
-      is_valid_filter_set(snapshot(c), m.filters(), m.membership()));
+  Rig r("topk_filter", 3, 6, 3);
+  r.init({1, 6, 3, 9, 2, 8});
+  EXPECT_TRUE(r.filters_valid());
 }
 
 TEST(TopkMonitor, NoViolationNoMessages) {
-  Cluster c(4, 1);
-  {
-    const std::vector<Value> values{100, 80, 20, 10};
-    for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  }
-  TopkFilterMonitor m(2);
-  m.initialize(c);
-  const auto after_init = c.stats().total();
+  Rig r("topk_filter", 2, 4);
+  r.init({100, 80, 20, 10});
+  const auto after_init = r.comm().total();
   // Values drift but stay on their side of the boundary.
-  apply(c, m, {95, 85, 25, 5}, 1);
-  apply(c, m, {99, 81, 22, 12}, 2);
-  EXPECT_EQ(c.stats().total(), after_init);
-  EXPECT_EQ(m.monitor_stats().violation_steps, 0u);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1}));
+  r.step({95, 85, 25, 5});
+  r.step({99, 81, 22, 12});
+  EXPECT_EQ(r.comm().total(), after_init);
+  EXPECT_EQ(r.stats().violation_steps, 0u);
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(TopkMonitor, DetectsSwapAcrossBoundary) {
-  Cluster c(4, 7);
-  const std::vector<Value> init{100, 80, 20, 10};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, init[i]);
-  TopkFilterMonitor m(2);
-  m.initialize(c);
+  Rig r("topk_filter", 2, 4, 7);
+  r.init({100, 80, 20, 10});
   // Node 3 rockets to the top; node 1 collapses.
-  apply(c, m, {100, 5, 20, 500}, 1);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 3}));
-  EXPECT_GE(m.monitor_stats().filter_resets, 2u);  // init + this step
-  EXPECT_TRUE(is_valid_filter_set(snapshot(c), m.filters(), m.membership()));
+  r.step({100, 5, 20, 500});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 3}));
+  EXPECT_GE(r.stats().filter_resets, 2u);  // init + this step
+  EXPECT_TRUE(r.filters_valid());
 }
 
 TEST(TopkMonitor, RisingOutsiderOnly) {
-  Cluster c(4, 9);
-  const std::vector<Value> init{100, 80, 20, 10};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, init[i]);
-  TopkFilterMonitor m(2);
-  m.initialize(c);
-  apply(c, m, {100, 80, 20, 300}, 1);  // node 3 overtakes everything
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 3}));
+  Rig r("topk_filter", 2, 4, 9);
+  r.init({100, 80, 20, 10});
+  r.step({100, 80, 20, 300});  // node 3 overtakes everything
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 3}));
 }
 
 TEST(TopkMonitor, FallingMemberOnly) {
-  Cluster c(4, 11);
-  const std::vector<Value> init{100, 80, 20, 10};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, init[i]);
-  TopkFilterMonitor m(2);
-  m.initialize(c);
-  apply(c, m, {100, 1, 20, 10}, 1);  // node 1 collapses below node 2
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 2}));
+  Rig r("topk_filter", 2, 4, 11);
+  r.init({100, 80, 20, 10});
+  r.step({100, 1, 20, 10});  // node 1 collapses below node 2
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 2}));
 }
 
 TEST(TopkMonitor, MidpointUpdateWithoutSetChange) {
-  Cluster c(4, 13);
-  const std::vector<Value> init{1000, 800, 200, 100};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, init[i]);
-  TopkFilterMonitor m(2);
-  m.initialize(c);
-  const Value m0 = m.boundary();
+  Rig r("topk_filter", 2, 4, 13);
+  r.init({1000, 800, 200, 100});
+  const Value m0 = boundary(r);
   // Node 1 sinks toward the boundary but stays above node 2: set unchanged,
   // so the handler should do a midpoint update, not a reset.
-  apply(c, m, {1000, static_cast<Value>(m0 - 1), 200, 100}, 1);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(m.monitor_stats().filter_resets, 1u);  // only the init reset
-  EXPECT_GE(m.monitor_stats().midpoint_updates, 1u);
-  EXPECT_LT(m.boundary(), m0);  // boundary moved down toward T-
-  EXPECT_TRUE(is_valid_filter_set(snapshot(c), m.filters(), m.membership()));
+  r.step({1000, static_cast<Value>(m0 - 1), 200, 100});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(r.stats().filter_resets, 1u);  // only the init reset
+  EXPECT_GE(r.stats().midpoint_updates, 1u);
+  EXPECT_LT(boundary(r), m0);  // boundary moved down toward T-
+  EXPECT_TRUE(r.filters_valid());
 }
 
 TEST(TopkMonitor, GapHalvingBoundsViolationSteps) {
   // A member creeps down by one each step from a huge initial gap; between
   // resets there can be at most ~log Δ handler calls (Theorem 3.3's
   // counting argument). With Δ = 2^20 expect <= ~21 violation steps.
-  Cluster c(2, 17);
   const Value kGap = 1 << 20;
-  c.set_value(0, kGap);
-  c.set_value(1, 0);
-  TopkFilterMonitor m(1);
-  m.initialize(c);
+  Rig r("topk_filter", 1, 2, 17);
+  r.init({kGap, 0});
   std::uint64_t violation_steps = 0;
   Value v0 = kGap;
   for (TimeStep t = 1; t <= 60; ++t) {
     // Keep sinking node 0 just below the current boundary.
-    if (v0 > m.boundary() && m.boundary() > 1) {
-      v0 = m.boundary() - 1;
+    if (v0 > boundary(r) && boundary(r) > 1) {
+      v0 = boundary(r) - 1;
     }
-    c.set_value(0, v0);
-    const auto before = m.monitor_stats().violation_steps;
-    m.step(c, t);
-    violation_steps += m.monitor_stats().violation_steps - before;
-    EXPECT_EQ(m.topk(), (std::vector<NodeId>{0}));
-    if (m.monitor_stats().filter_resets > 1) break;  // reached the bottom
+    const auto before = r.stats().violation_steps;
+    r.step({v0, 0});
+    violation_steps += r.stats().violation_steps - before;
+    EXPECT_EQ(r.topk(), (std::vector<NodeId>{0}));
+    if (r.stats().filter_resets > 1) break;  // reached the bottom
   }
   EXPECT_LE(violation_steps, 25u);
 }
 
 TEST(TopkMonitor, DegenerateKEqualsN) {
-  Cluster c(3, 1);
-  c.set_value(0, 5);
-  c.set_value(1, 3);
-  c.set_value(2, 8);
-  TopkFilterMonitor m(3);
-  m.initialize(c);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(c.stats().total(), 0u);
-  apply(c, m, {1, 2, 3}, 1);
-  EXPECT_EQ(c.stats().total(), 0u);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1, 2}));
+  Rig r("topk_filter", 3, 3);
+  r.init({5, 3, 8});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(r.comm().total(), 0u);
+  r.step({1, 2, 3});
+  EXPECT_EQ(r.comm().total(), 0u);
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 1, 2}));
 }
 
 TEST(TopkMonitor, KEqualsOneMaxTracking) {
-  Cluster c(8, 21);
-  const std::vector<Value> init{10, 20, 30, 40, 50, 60, 70, 80};
-  for (NodeId i = 0; i < 8; ++i) c.set_value(i, init[i]);
-  TopkFilterMonitor m(1);
-  m.initialize(c);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{7}));
-  apply(c, m, {10, 20, 30, 40, 50, 60, 900, 80}, 1);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{6}));
+  Rig r("topk_filter", 1, 8, 21);
+  r.init({10, 20, 30, 40, 50, 60, 70, 80});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{7}));
+  r.step({10, 20, 30, 40, 50, 60, 900, 80});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{6}));
 }
 
 TEST(TopkMonitor, BothSidesViolateSimultaneously) {
-  Cluster c(4, 23);
-  const std::vector<Value> init{100, 80, 20, 10};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, init[i]);
-  TopkFilterMonitor m(2);
-  m.initialize(c);
+  Rig r("topk_filter", 2, 4, 23);
+  r.init({100, 80, 20, 10});
   // Node 1 falls below the boundary while node 2 rises above it.
-  const Value b = m.boundary();
-  apply(c, m, {100, b - 5, b + 5, 10}, 1);
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 2}));
-  EXPECT_TRUE(is_valid_filter_set(snapshot(c), m.filters(), m.membership()));
+  const Value b = boundary(r);
+  r.step({100, b - 5, b + 5, 10});
+  EXPECT_EQ(r.topk(), (std::vector<NodeId>{0, 2}));
+  EXPECT_TRUE(r.filters_valid());
 }
 
 TEST(TopkMonitor, TPlusAndTMinusTracked) {
-  Cluster c(2, 25);
-  c.set_value(0, 1000);
-  c.set_value(1, 0);
-  TopkFilterMonitor m(1);
-  m.initialize(c);
-  EXPECT_EQ(m.t_plus(), 1000);
-  EXPECT_EQ(m.t_minus(), 0);
+  Rig r("topk_filter", 1, 2, 25);
+  r.init({1000, 0});
+  const auto& coord = r.coord<FilterCoordinator>();
+  EXPECT_EQ(coord.t_plus(), 1000);
+  EXPECT_EQ(coord.t_minus(), 0);
   // Sink node 0 a bit: T+ must follow down.
-  apply(c, m, {static_cast<Value>(m.boundary() - 1), 0}, 1);
-  EXPECT_LT(m.t_plus(), 1000);
-  EXPECT_GE(m.t_plus(), m.t_minus());
+  r.step({static_cast<Value>(coord.boundary() - 1), 0});
+  EXPECT_LT(coord.t_plus(), 1000);
+  EXPECT_GE(coord.t_plus(), coord.t_minus());
 }
 
 TEST(TopkMonitor, LongRandomWalkStaysCorrect) {
   // End-to-end guard: 2000 steps on random walks, strict validation
   // inside the runner (throws on first divergence).
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 2'000;
-  auto streams = make_stream_set(spec, 12, 77);
-  TopkFilterMonitor m(3);
-  RunConfig cfg;
-  cfg.n = 12;
-  cfg.k = 3;
-  cfg.steps = 2'000;
-  cfg.seed = 77;
-  const auto result = run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = "topk_filter";
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 2'000;
+  sc.n = 12;
+  sc.k = 3;
+  sc.steps = 2'000;
+  sc.seed = 77;
+  const auto result = exp::run_scenario(sc);
   EXPECT_TRUE(result.correct);
   EXPECT_GT(result.comm.total(), 0u);
 }
 
 TEST(TopkMonitor, SuppressedBeaconsStillCorrect) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 5'000;
-  auto streams = make_stream_set(spec, 10, 31);
-  TopkFilterMonitor::Options opts;
-  opts.suppress_idle_broadcasts = true;
-  TopkFilterMonitor m(2, opts);
-  RunConfig cfg;
-  cfg.n = 10;
-  cfg.k = 2;
-  cfg.steps = 800;
-  cfg.seed = 31;
-  const auto result = run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = "topk_filter?nobeacon";
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 5'000;
+  sc.n = 10;
+  sc.k = 2;
+  sc.steps = 800;
+  sc.seed = 31;
+  const auto result = exp::run_scenario(sc);
   EXPECT_TRUE(result.correct);
 }
 

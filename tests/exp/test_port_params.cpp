@@ -1,12 +1,10 @@
-// Monitor-spec parameter round-trips for the five newly-native ports:
-// every documented `?key=value` must reach both factories (lock-step
-// make_monitor and native make_role_pair) with the same meaning — the
-// twin runs of the differential harness only prove something if both
-// sides were built from the same configuration. Plus the composition
+// Monitor-spec parameter round-trips: every documented `?key=value` must
+// reach the role pair make_role_pair builds with its meaning intact —
+// the coordinator's name() encodes the effective configuration, the
+// name the golden digests were recorded under. Plus the composition
 // rules: `?shards=` is a deployment parameter that must split off
 // cleanly (and be rejected where no sharded deployment exists), and
-// `?suspect` is a native-roles-only knob accepted exactly where the
-// suspicion machinery lives.
+// `?suspect` is accepted exactly where the suspicion machinery lives.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -22,30 +20,28 @@ namespace {
 std::string native_name(const std::string& spec, std::size_t k = 4) {
   Cluster cluster(16, 1);
   const auto pair = exp::make_role_pair(cluster, spec, k);
-  EXPECT_TRUE(pair.native) << spec;
+  EXPECT_EQ(pair.nodes.size(), cluster.size()) << spec;
   return std::string(pair.coordinator->name());
-}
-
-std::string lockstep_name(const std::string& spec, std::size_t k = 4) {
-  return std::string(exp::make_monitor(spec, k)->name());
 }
 
 TEST(PortParams, NamesRoundTripThroughBothFactories) {
   // name() encodes the effective configuration (e.g. the slack placement
-  // mode), so twin name equality pins that a parameter reached both
-  // implementations — the harness compares monitor_name first.
-  for (const char* spec :
-       {"slack", "slack?alpha=0.25", "slack?adaptive", "dominance", "ordered",
-        "approx?eps=64", "multi_k", "multi_k?ks=2+8+16"}) {
-    SCOPED_TRACE(spec);
-    EXPECT_EQ(native_name(spec), lockstep_name(spec));
-  }
+  // mode), so the names below pin that each parameter reached the
+  // implementation. These are the names the retired lock-step factory
+  // gave the same specs.
+  EXPECT_EQ(native_name("slack"), "slack_fixed");
+  EXPECT_EQ(native_name("slack?alpha=0.25"), "slack_fixed");
   EXPECT_EQ(native_name("slack?adaptive"), "slack_adaptive");
   EXPECT_EQ(native_name("slack?alpha=0.1"), "slack_fixed");
   EXPECT_EQ(native_name("dominance"), "dominance_midpoint");
   EXPECT_EQ(native_name("ordered"), "ordered_topk");
   EXPECT_EQ(native_name("approx?eps=64"), "approx_topk");
   EXPECT_EQ(native_name("multi_k?ks=2+8"), "multi_k");
+  EXPECT_EQ(native_name("multi_k?ks=2+8+16"), "multi_k");
+  EXPECT_EQ(native_name("topk_filter?nobeacon"), "topk_filter");
+  EXPECT_EQ(native_name("naive"), "naive");
+  EXPECT_EQ(native_name("naive_chg"), "naive_on_change");
+  EXPECT_EQ(native_name("recompute?nobeacon"), "recompute");
 }
 
 TEST(PortParams, UnknownAndMalformedParamsRejectOnBothPaths) {
@@ -58,9 +54,9 @@ TEST(PortParams, UnknownAndMalformedParamsRejectOnBothPaths) {
         "approx?eps=abc",         // unparseable int
         "multi_k?ks=",            // empty list
         "multi_k?ks=5+2",         // not strictly increasing
-        "multi_k?ks=4+4"}) {      // duplicates are not increasing either
+        "multi_k?ks=4+4",         // duplicates are not increasing either
+        "recompute?alpha=1"}) {   // recompute takes only nobeacon
     SCOPED_TRACE(spec);
-    EXPECT_THROW(exp::make_monitor(spec, 4), std::invalid_argument);
     EXPECT_THROW(exp::make_role_pair(cluster, spec, 4),
                  std::invalid_argument);
   }
@@ -74,19 +70,17 @@ TEST(PortParams, SuspectKnobIsNativeOnlyAndScoped) {
        {"topk_filter?suspect", "approx?eps=64,suspect", "naive?suspect",
         "naive_chg?suspect"}) {
     SCOPED_TRACE(spec);
-    EXPECT_TRUE(exp::make_role_pair(cluster, spec, 4).native);
+    EXPECT_NE(exp::make_role_pair(cluster, spec, 4).coordinator, nullptr);
   }
   // ...rejected on ports without it (a silently ignored `?suspect` would
-  // report an adversarial sweep as hardened when it never was), and on
-  // the lock-step factory (native-roles-only knob).
+  // report an adversarial sweep as hardened when it never was).
   for (const char* spec : {"slack?suspect", "dominance?suspect",
-                           "ordered?suspect", "multi_k?suspect"}) {
+                           "ordered?suspect", "multi_k?suspect",
+                           "recompute?suspect"}) {
     SCOPED_TRACE(spec);
     EXPECT_THROW(exp::make_role_pair(cluster, spec, 4),
                  std::invalid_argument);
   }
-  EXPECT_THROW(exp::make_monitor("approx?eps=64,suspect", 4),
-               std::invalid_argument);
 }
 
 TEST(PortParams, ShardsParamSplitsAndComposes) {
@@ -111,7 +105,8 @@ TEST(PortParams, ShardedDeploymentRejectsPortsWithoutOne) {
   // not run monolithically under a silently dropped parameter.
   for (const char* monitor : {"slack?shards=2", "dominance?shards=2",
                               "ordered?shards=2", "approx?eps=64,shards=2",
-                              "multi_k?ks=2+8,shards=2"}) {
+                              "multi_k?ks=2+8,shards=2",
+                              "recompute?shards=2"}) {
     SCOPED_TRACE(monitor);
     exp::Scenario sc;
     sc.monitor = monitor;

@@ -37,34 +37,31 @@ TEST(MonitorSpecTest, ParameterizedSpecsConstruct) {
         "dominance", "recompute?nobeacon=true"}) {
     SCOPED_TRACE(spec);
     EXPECT_TRUE(exp::is_known_monitor(spec));
-    EXPECT_NE(exp::make_monitor(spec, 2), nullptr);
     EXPECT_NE(exp::make_role_pair(cluster, spec, 2).coordinator, nullptr);
   }
 }
 
 TEST(MonitorSpecTest, MalformedSpecsThrow) {
-  EXPECT_THROW(exp::make_monitor("no_such_monitor", 2),
-               std::invalid_argument);
-  EXPECT_THROW(exp::make_monitor("topk_filter?bogus=1", 2),
-               std::invalid_argument);
-  EXPECT_THROW(exp::make_monitor("slack?alpha=abc", 2),
-               std::invalid_argument);
-  EXPECT_THROW(exp::make_monitor("multi_k?ks=", 2), std::invalid_argument);
+  Cluster cluster(8, 1);
+  for (const char* spec : {"no_such_monitor", "topk_filter?bogus=1",
+                           "slack?alpha=abc", "multi_k?ks="}) {
+    SCOPED_TRACE(spec);
+    EXPECT_THROW(exp::make_role_pair(cluster, spec, 2),
+                 std::invalid_argument);
+  }
   EXPECT_FALSE(exp::is_known_monitor("no_such_monitor"));
   EXPECT_TRUE(exp::is_known_monitor("topk_filter?bogus=1"));  // base name
 }
 
 TEST(MonitorSpecTest, NativeListMatchesRolePairs) {
+  // Every registered name builds a full native deployment: a coordinator
+  // plus one node algorithm per cluster node.
   Cluster cluster(4, 1);
   for (const auto& name : exp::all_monitor_names()) {
     const auto pair = exp::make_role_pair(cluster, name, 2);
-    const bool listed_native =
-        std::find(exp::native_monitor_names().begin(),
-                  exp::native_monitor_names().end(),
-                  name) != exp::native_monitor_names().end();
-    EXPECT_EQ(pair.native, listed_native) << name;
-    EXPECT_EQ(pair.lockstep == nullptr, pair.native) << name;
+    EXPECT_NE(pair.coordinator, nullptr) << name;
     EXPECT_EQ(pair.nodes.size(), cluster.size()) << name;
+    for (const auto& node : pair.nodes) EXPECT_NE(node, nullptr) << name;
   }
 }
 

@@ -5,19 +5,14 @@
 // the same fuzzed traces.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <string>
 
-#include "core/approx_monitor.hpp"
-#include "core/dominance_monitor.hpp"
+#include "../core/native_rig.hpp"
 #include "core/ground_truth.hpp"
-#include "core/multik_monitor.hpp"
-#include "core/naive_monitor.hpp"
+#include "core/multik_roles.hpp"
 #include "core/offline_opt.hpp"
-#include "core/ordered_topk_monitor.hpp"
-#include "core/recompute_monitor.hpp"
-#include "core/runner.hpp"
-#include "core/slack_monitor.hpp"
-#include "core/topk_monitor.hpp"
+#include "exp/scenario.hpp"
 #include "streams/trace.hpp"
 
 namespace topkmon {
@@ -51,6 +46,18 @@ TraceMatrix fuzz_trace(std::size_t n, std::size_t steps, Rng& rng,
   return trace;
 }
 
+/// One fuzz run over a caller-supplied trace (steps = trace length - 1).
+exp::Scenario fuzz_scenario(const std::string& monitor, std::size_t n,
+                            std::size_t k, std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.monitor = monitor;
+  sc.n = n;
+  sc.k = k;
+  sc.steps = 119;
+  sc.seed = seed;
+  return sc;
+}
+
 class FuzzSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzSeeds, AllMonitorsStrictOnDistinctTraces) {
@@ -59,26 +66,14 @@ TEST_P(FuzzSeeds, AllMonitorsStrictOnDistinctTraces) {
   const std::size_t k = 1 + rng.uniform_below(n);
   const auto trace = fuzz_trace(n, 120, rng, /*force_distinct=*/true);
 
-  std::vector<std::unique_ptr<MonitorBase>> monitors;
-  monitors.push_back(std::make_unique<TopkFilterMonitor>(k));
-  monitors.push_back(std::make_unique<NaiveMonitor>(k));
-  monitors.push_back(std::make_unique<RecomputeMonitor>(k));
-  monitors.push_back(std::make_unique<DominanceMonitor>(k));
-  monitors.push_back(std::make_unique<SlackMonitor>(k));
-  monitors.push_back(std::make_unique<OrderedTopkMonitor>(k));
-  monitors.push_back(std::make_unique<ApproxTopkMonitor>(k));
-
-  for (auto& monitor : monitors) {
+  for (const char* monitor : {"topk_filter", "naive", "recompute",
+                              "dominance", "slack", "ordered", "approx"}) {
     auto streams = trace.to_stream_set();
-    RunConfig cfg;
-    cfg.n = n;
-    cfg.k = k;
-    cfg.steps = 119;
-    cfg.seed = GetParam();
-    cfg.validate_order = true;
-    const auto r = run_monitor(*monitor, streams, cfg);
-    EXPECT_TRUE(r.correct)
-        << monitor->name() << " n=" << n << " k=" << k;
+    exp::Scenario sc = fuzz_scenario(monitor, n, k, GetParam());
+    sc.validate_order = true;
+    sc.throw_on_error = false;
+    const auto r = exp::run_scenario(sc, streams);
+    EXPECT_TRUE(r.correct) << monitor << " n=" << n << " k=" << k;
   }
 }
 
@@ -90,23 +85,14 @@ TEST_P(FuzzSeeds, TieTolerantMonitorsWeakValidOnTiedTraces) {
 
   // Monitors that are specified to handle raw ties (full-information ones
   // plus the w-space ones).
-  std::vector<std::unique_ptr<MonitorBase>> monitors;
-  monitors.push_back(std::make_unique<NaiveMonitor>(k));
-  monitors.push_back(std::make_unique<RecomputeMonitor>(k));
-  monitors.push_back(std::make_unique<DominanceMonitor>(k));
-  monitors.push_back(std::make_unique<TopkFilterMonitor>(k));
-  monitors.push_back(std::make_unique<SlackMonitor>(k));
-
-  for (auto& monitor : monitors) {
+  for (const char* monitor :
+       {"naive", "recompute", "dominance", "topk_filter", "slack"}) {
     auto streams = trace.to_stream_set();
-    RunConfig cfg;
-    cfg.n = n;
-    cfg.k = k;
-    cfg.steps = 119;
-    cfg.seed = GetParam();
-    cfg.validation = RunConfig::Validation::kWeak;
-    const auto r = run_monitor(*monitor, streams, cfg);
-    EXPECT_TRUE(r.correct) << monitor->name() << " n=" << n << " k=" << k;
+    exp::Scenario sc = fuzz_scenario(monitor, n, k, GetParam());
+    sc.validation = RunConfig::Validation::kWeak;
+    sc.throw_on_error = false;
+    const auto r = exp::run_scenario(sc, streams);
+    EXPECT_TRUE(r.correct) << monitor << " n=" << n << " k=" << k;
   }
 }
 
@@ -117,16 +103,23 @@ TEST_P(FuzzSeeds, MultiKAllBoundariesOnDistinctTraces) {
   std::vector<std::size_t> ks{1, 1 + n / 3, 1 + (2 * n) / 3};
   ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
 
-  auto streams = trace.to_stream_set();
-  Cluster c(n, GetParam());
-  MultiKMonitor m(ks);
-  for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::string spec = "multi_k?ks=";
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    if (i > 0) spec += '+';
+    spec += std::to_string(ks[i]);
+  }
+  const auto row = [&](std::size_t t) {
+    std::vector<Value> v(n);
+    for (NodeId i = 0; i < n; ++i) v[i] = trace.at(t, i);
+    return v;
+  };
+  rig::Rig r(spec, ks.front(), n, GetParam());
+  const auto& m = r.coord<MultiKCoordinator>();
+  r.init(row(0));
   for (TimeStep t = 1; t < 100; ++t) {
-    for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
+    r.step(row(t));
     for (const auto k : ks) {
-      ASSERT_EQ(m.topk_for(k), true_topk_set(c, k))
+      ASSERT_EQ(m.topk_for(k), true_topk_set(r.cluster(), k))
           << "k=" << k << " t=" << t << " n=" << n;
     }
   }

@@ -5,9 +5,7 @@
 // word budget by construction.
 #include <gtest/gtest.h>
 
-#include "core/naive_monitor.hpp"
-#include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
+#include "../core/native_rig.hpp"
 #include "sim/event_log.hpp"
 #include "streams/factory.hpp"
 
@@ -29,23 +27,26 @@ TappedRun run_tapped(std::size_t n, std::size_t k, std::size_t steps,
   spec.walk.max_step = 4'000;
   auto streams = make_stream_set(spec, n, seed);
   TappedRun out;
-  Cluster c(n, seed);
-  c.net().set_tap(out.log.tap());
-  TopkFilterMonitor m(k);
-  for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
+  rig::Rig r("topk_filter", k, n, seed);
+  r.cluster().net().set_tap(out.log.tap());
+  std::vector<Value> values(n);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < n; ++i) values[i] = streams.advance(i);
+  };
+  observe();
   out.log.begin_step(0);
-  m.initialize(c);
+  r.init(values);
   for (TimeStep t = 1; t <= steps; ++t) {
-    for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
+    observe();
     out.log.begin_step(t);
-    const auto before = m.monitor_stats().violation_steps;
-    m.step(c, t);
-    if (m.monitor_stats().violation_steps != before) {
+    const auto before = r.stats().violation_steps;
+    r.step(values);
+    if (r.stats().violation_steps != before) {
       out.violation_steps.push_back(t);
     }
   }
-  out.stats = c.stats();
-  out.monitor = m.monitor_stats();
+  out.stats = r.comm();
+  out.monitor = r.stats();
   return out;
 }
 
@@ -120,15 +121,18 @@ TEST(MessageModel, NaiveBreakdownIsPureUpstream) {
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   auto streams = make_stream_set(spec, 6, 15);
-  Cluster c(6, 15);
+  rig::Rig r("naive", 2, 6, 15);
   EventLog log;
-  c.net().set_tap(log.tap());
-  NaiveMonitor m(2);
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  r.cluster().net().set_tap(log.tap());
+  std::vector<Value> values(6);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 6; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  r.init(values);
   for (TimeStep t = 1; t <= 50; ++t) {
-    for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
+    observe();
+    r.step(values);
   }
   EXPECT_EQ(log.size(), 6u * 51u);
   EXPECT_EQ(log.count_direction(MsgDirection::kUpstream), log.size());

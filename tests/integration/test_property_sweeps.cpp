@@ -5,9 +5,9 @@
 
 #include <tuple>
 
+#include "../core/native_rig.hpp"
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
+#include "exp/scenario.hpp"
 #include "protocols/extremum.hpp"
 #include "streams/factory.hpp"
 
@@ -15,7 +15,7 @@ namespace topkmon {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Sweep 1: TopkFilterMonitor over a grid of (n, k).
+// Sweep 1: Algorithm 1 (topk_filter) over a grid of (n, k).
 // ---------------------------------------------------------------------------
 
 class TopkGrid
@@ -24,17 +24,15 @@ class TopkGrid
 TEST_P(TopkGrid, CorrectOnWalks) {
   const auto [n, k] = GetParam();
   if (k > n) GTEST_SKIP() << "k > n is rejected by construction";
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 5'000;
-  auto streams = make_stream_set(spec, n, 100 + n * 31 + k);
-  TopkFilterMonitor m(k);
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = 250;
-  cfg.seed = 100 + n * 31 + k;
-  const auto result = run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = "topk_filter";
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.stream.walk.max_step = 5'000;
+  sc.n = n;
+  sc.k = k;
+  sc.steps = 250;
+  sc.seed = 100 + n * 31 + k;
+  const auto result = exp::run_scenario(sc);
   EXPECT_TRUE(result.correct);
 }
 
@@ -57,18 +55,20 @@ TEST_P(FilterInvariant, HoldsThroughoutRun) {
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 8'000;
   auto streams = make_stream_set(spec, kN, seed);
-  Cluster c(kN, seed);
-  TopkFilterMonitor m(kK);
-  for (NodeId i = 0; i < kN; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  rig::Rig r("topk_filter", kK, kN, seed);
+  std::vector<Value> values(kN);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < kN; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  r.init(values);
   for (TimeStep t = 1; t <= 300; ++t) {
-    for (NodeId i = 0; i < kN; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    std::vector<Value> values(kN);
-    for (NodeId i = 0; i < kN; ++i) values[i] = c.value(i);
-    ASSERT_TRUE(is_valid_filter_set(values, m.filters(), m.membership()))
+    observe();
+    r.step(values);
+    // Lemma 2.2 over the filters the nodes themselves installed.
+    ASSERT_TRUE(r.filters_valid())
         << "Lemma 2.2 violated at t=" << t << " seed=" << seed;
-    ASSERT_EQ(m.topk(), true_topk_set(values, kK)) << "t=" << t;
+    ASSERT_EQ(r.topk(), true_topk_set(values, kK)) << "t=" << t;
   }
 }
 
@@ -124,16 +124,14 @@ class DegenerateK : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DegenerateK, NoMessagesEver) {
   const std::size_t n = GetParam();
-  StreamSpec spec;
-  spec.family = StreamFamily::kIidUniform;
-  auto streams = make_stream_set(spec, n, 42);
-  TopkFilterMonitor m(n);
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = n;
-  cfg.steps = 50;
-  cfg.seed = 42;
-  const auto result = run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = "topk_filter";
+  sc.stream.family = StreamFamily::kIidUniform;
+  sc.n = n;
+  sc.k = n;
+  sc.steps = 50;
+  sc.seed = 42;
+  const auto result = exp::run_scenario(sc);
   EXPECT_TRUE(result.correct);
   EXPECT_EQ(result.comm.total(), 0u);
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "protocols/extremum.hpp"
-#include "protocols/select_topk.hpp"
 #include "util/statistics.hpp"
 
 namespace topkmon {
@@ -118,17 +117,6 @@ TEST(ProtocolOptionsTest, SuppressionPlusAnnounceStillAnnounces) {
   const auto r = run_max_protocol(c, c.all_ids(), 3, opts);
   EXPECT_EQ(r.announces, 1u);
   EXPECT_EQ(r.extremum, 15);
-}
-
-TEST(ProtocolOptionsTest, SelectionWorksWithSuppression) {
-  const std::vector<Value> values{50, 10, 40, 20, 30};
-  auto c = make_cluster(values, 17);
-  ProtocolOptions opts;
-  opts.suppress_idle_broadcasts = true;
-  const auto sel = select_extreme(c, c.all_ids(), 5, 5, Direction::kMax, opts);
-  ASSERT_EQ(sel.winners.size(), 5u);
-  EXPECT_EQ(sel.winners[0].id, 0u);
-  EXPECT_EQ(sel.winners[4].id, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -496,11 +496,15 @@ TEST(FaultInjection, NoFaultRunIsByteIdenticalToDefault) {
   EXPECT_TRUE(b.recovery_ticks.empty());
 }
 
-TEST(FaultInjection, NonNativeMonitorRejected) {
-  // `recompute` is the last adapter-backed monitor (the other zoo members
-  // all have native role ports now); it must still be rejected.
-  Scenario sc = churn_scenario("recompute", "instant", "churn?crash=1@10");
-  EXPECT_THROW(run_scenario(sc), std::invalid_argument);
+TEST(FaultInjection, RecomputeSurvivesMixedChurnOnInstant) {
+  // `recompute` was rejected under fault plans while it was lock-step
+  // only; its native port re-selects from scratch every step, so it must
+  // ride out crashes, joins, leaves and a k change with an exact tail.
+  const RunResult r =
+      run_scenario(churn_scenario("recompute", "instant", kMixedPlan));
+  EXPECT_EQ(r.error_steps_since(270), 0u);
+  EXPECT_EQ(r.recovery_ticks.size(), 7u);
+  EXPECT_EQ(r.steps_executed, 301u);
 }
 
 // ---------------------------------------------------------------------------

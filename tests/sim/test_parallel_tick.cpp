@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "core/driver.hpp"
+#include "exp/monitor_registry.hpp"
 #include "exp/scenario.hpp"
 #include "sim/message.hpp"
 
@@ -205,18 +207,28 @@ TEST(ParallelTick, StrictValidationStaysExactOnInstant) {
 }
 
 TEST(ParallelTick, NonNativeMonitorRejectsWorkers) {
-  // A LockstepAdapter monitor is one shared object; its node callbacks
-  // cannot run concurrently, so run_scenario must reject the combination
-  // up front instead of racing. `recompute` is the only remaining
-  // adapter-backed monitor; the rest of the zoo runs native role ports.
-  for (const char* monitor : {"recompute"}) {
-    Scenario sc;
-    sc.monitor = monitor;
-    sc.n = 8;
-    sc.k = 3;
-    sc.steps = 10;
-    sc.workers = 2;
-    EXPECT_THROW(run_scenario(sc), std::invalid_argument) << monitor;
+  // Every registry monitor is a native role pair now; the driver still
+  // takes the `native` flag and must refuse the retired lock-step mode
+  // (one shared monitor object behind every node) at any worker count.
+  Cluster cluster(8, 1);
+  exp::RolePair pair = exp::make_role_pair(cluster, "topk_filter", 3);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_THROW(SimDriver(cluster, *pair.coordinator, pair.nodes,
+                           /*native=*/false, workers),
+                 std::invalid_argument);
+  }
+}
+
+TEST(ParallelTick, RecomputeWorkersByteIdenticalToSerial) {
+  // The last monitor to get a native role port (it used to be rejected
+  // here): W = 2 and W = 8 must reproduce the serial run byte for byte,
+  // on the instant network and on a delayed, lossy one.
+  for (const char* network : {"instant", "delay=2,jitter=1", "drop=0.1"}) {
+    for (const char* monitor : {"recompute", "recompute?nobeacon"}) {
+      for (const std::string& family : workloads()) {
+        expect_workers_equivalent(monitor, family, network);
+      }
+    }
   }
 }
 
