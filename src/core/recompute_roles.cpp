@@ -68,7 +68,7 @@ void RecomputeCoordinator::on_timer(CoordCtx& ctx) {
       return;
     }
     gap_pending_ = false;
-    start_session(ctx);
+    next_or_finish(ctx);
     return;
   }
   if (sess_.active && sess_.advance(ctx)) conclude_session(ctx);
@@ -100,17 +100,24 @@ void RecomputeCoordinator::conclude_session(CoordCtx& ctx) {
     return;
   }
   winners_.push_back(sess_.best_holder);
+  gap_ = ctx.flush_ticks();
+  if (winners_.size() >= k_ || gap_ == 0) {
+    next_or_finish(ctx);
+  } else {
+    gap_pending_ = true;
+    ctx.arm_timer();
+  }
+}
+
+void RecomputeCoordinator::next_or_finish(CoordCtx& ctx) {
   if (winners_.size() < k_) {
-    gap_ = ctx.flush_ticks();
-    if (gap_ == 0) {
-      start_session(ctx);
-    } else {
-      gap_pending_ = true;
-      ctx.arm_timer();
-    }
+    start_session(ctx);
     return;
   }
-  topk_ids_ = winners_;
+  // k may have shrunk (on_set_k) while the selection ran: the first k
+  // winners are the top-k.
+  topk_ids_.assign(winners_.begin(),
+                   winners_.begin() + static_cast<std::ptrdiff_t>(k_));
   std::sort(topk_ids_.begin(), topk_ids_.end());
   selecting_ = false;
 }

@@ -74,6 +74,9 @@ class RecomputeCoordinator final : public CoordinatorAlgo {
   void begin_selection(CoordCtx& ctx);
   void start_session(CoordCtx& ctx);
   void conclude_session(CoordCtx& ctx);
+  /// Starts the next session, or publishes the answer once k winners
+  /// are in.
+  void next_or_finish(CoordCtx& ctx);
 
   std::size_t k_;
   CoordProtoSession sess_;

@@ -73,10 +73,10 @@ class SlackCoordinator final : public CoordinatorAlgo {
   struct Options {
     double alpha = 0.5;    ///< boundary offset fraction above T-
     bool adaptive = false; ///< learn alpha from the violation mix
-    /// TEST-ONLY mutation knob for the differential harness's property
+    /// TEST-ONLY mutation knob for the equivalence harness's property
     /// test: shifts every applied boundary by this many value units
     /// *after* clamping, producing an off-by-`nudge` boundary that a
-    /// sound equivalence harness must flag against the lock-step oracle.
+    /// sound harness must flag against the golden digests.
     /// Never set outside tests/.
     Value debug_boundary_nudge = 0;
   };

@@ -171,7 +171,7 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
     for (const auto& p : parsed.params) {
       if (p.key == "alpha") o.alpha = parse_double(parsed, p);
       else if (p.key == "adaptive") o.adaptive = parse_flag(p);
-      // TEST-ONLY: off-by-`nudge` boundary mutation for the differential
+      // TEST-ONLY: off-by-`nudge` boundary mutation for the equivalence
       // harness's self-test (tests/core/test_port_mutant.cpp). Never a
       // documented monitor parameter.
       else if (p.key == "nudge") o.debug_boundary_nudge = parse_int(parsed, p);

@@ -130,7 +130,7 @@ struct Scenario {
     return *this;
   }
 
-  /// The equivalent legacy RunConfig (used to key RunResult rows).
+  /// The equivalent RunConfig (used to key RunResult rows).
   RunConfig run_config() const {
     RunConfig cfg;
     cfg.n = n;

@@ -53,19 +53,6 @@ class Rng {
   /// Children with different ids are statistically independent.
   Rng derive(std::uint64_t stream_id) const noexcept;
 
-  /// Full-state equality: two generators compare equal iff their future
-  /// output sequences are identical (determinism checks: two runs that
-  /// consumed the same coin flips leave equal generators behind).
-  friend bool operator==(const Rng& a, const Rng& b) noexcept {
-    return a.s_ == b.s_ &&
-           a.has_cached_gaussian_ == b.has_cached_gaussian_ &&
-           (!a.has_cached_gaussian_ ||
-            a.cached_gaussian_ == b.cached_gaussian_);
-  }
-  friend bool operator!=(const Rng& a, const Rng& b) noexcept {
-    return !(a == b);
-  }
-
   /// Fisher-Yates shuffle of a random-access range.
   template <typename RandomIt>
   void shuffle(RandomIt first, RandomIt last) noexcept {

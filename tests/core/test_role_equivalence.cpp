@@ -38,8 +38,8 @@ TEST(RoleEquivalence, FormerAdapterMonitorsNowRunNativeAndMatch) {
 }
 
 TEST(RoleEquivalence, RecomputeRunsNativelyOnLossyNetworks) {
-  // The last lock-step-only monitor is native now: a delayed network no
-  // longer rejects it, and it still answers every step.
+  // A delayed network must not reject recompute, and it answers every
+  // step.
   const auto r =
       run_native("recompute", "random_walk", {8, 2}, 1, 60,
                  RunConfig::Validation::kWeak, "delay=1");

@@ -44,8 +44,8 @@ TEST(RolePorts, OrderedMatchesLockstepAcrossGrid) {
 }
 
 TEST(RolePorts, RecomputeMatchesLockstepAcrossGrid) {
-  // The last port: recompute and recompute?nobeacon over the standard
-  // shapes plus k == n and k == 1.
+  // recompute and recompute?nobeacon over the standard shapes plus
+  // k == n and k == 1.
   expect_goldens("recompute_grid", /*exact=*/true);
 }
 

@@ -27,8 +27,7 @@ std::string native_name(const std::string& spec, std::size_t k = 4) {
 TEST(PortParams, NamesRoundTripThroughBothFactories) {
   // name() encodes the effective configuration (e.g. the slack placement
   // mode), so the names below pin that each parameter reached the
-  // implementation. These are the names the retired lock-step factory
-  // gave the same specs.
+  // implementation; run results are keyed by these names.
   EXPECT_EQ(native_name("slack"), "slack_fixed");
   EXPECT_EQ(native_name("slack?alpha=0.25"), "slack_fixed");
   EXPECT_EQ(native_name("slack?adaptive"), "slack_adaptive");

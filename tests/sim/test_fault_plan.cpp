@@ -497,14 +497,37 @@ TEST(FaultInjection, NoFaultRunIsByteIdenticalToDefault) {
 }
 
 TEST(FaultInjection, RecomputeSurvivesMixedChurnOnInstant) {
-  // `recompute` was rejected under fault plans while it was lock-step
-  // only; its native port re-selects from scratch every step, so it must
-  // ride out crashes, joins, leaves and a k change with an exact tail.
+  // Recompute re-selects from scratch every step, so it must ride out
+  // crashes, joins, leaves and a k change with an exact tail.
   const RunResult r =
       run_scenario(churn_scenario("recompute", "instant", kMixedPlan));
   EXPECT_EQ(r.error_steps_since(270), 0u);
   EXPECT_EQ(r.recovery_ticks.size(), 7u);
   EXPECT_EQ(r.steps_executed, 301u);
+}
+
+TEST(FaultInjection, RecomputeShrinkingKMidSelectionPublishesK) {
+  // A tick budget makes each selection span several steps, so the k
+  // change lands while winners are already in: every answer published
+  // after the change must hold exactly the new k ids.
+  Scenario sc = churn_scenario("recompute", "delay=1,ticks=3", "churn?k=2@60",
+                               16, 6);
+  sc.validation = RunConfig::Validation::kWeak;
+  std::vector<NodeId> before_change;
+  std::size_t published = 0;
+  std::size_t wrong_size = 0;
+  sc.on_step = [&](TimeStep t, const std::vector<Value>&,
+                   const std::vector<NodeId>& answer) {
+    if (t < 60) {
+      before_change = answer;
+    } else if (answer != before_change) {
+      ++published;
+      if (answer.size() != 2) ++wrong_size;
+    }
+  };
+  run_scenario(sc);
+  EXPECT_GT(published, 0u);
+  EXPECT_EQ(wrong_size, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -207,9 +207,8 @@ TEST(ParallelTick, StrictValidationStaysExactOnInstant) {
 }
 
 TEST(ParallelTick, NonNativeMonitorRejectsWorkers) {
-  // Every registry monitor is a native role pair now; the driver still
-  // takes the `native` flag and must refuse the retired lock-step mode
-  // (one shared monitor object behind every node) at any worker count.
+  // The driver takes a `native` flag and must refuse `false` (one shared
+  // monitor object behind every node) at any worker count.
   Cluster cluster(8, 1);
   exp::RolePair pair = exp::make_role_pair(cluster, "topk_filter", 3);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
@@ -220,9 +219,8 @@ TEST(ParallelTick, NonNativeMonitorRejectsWorkers) {
 }
 
 TEST(ParallelTick, RecomputeWorkersByteIdenticalToSerial) {
-  // The last monitor to get a native role port (it used to be rejected
-  // here): W = 2 and W = 8 must reproduce the serial run byte for byte,
-  // on the instant network and on a delayed, lossy one.
+  // W = 2 and W = 8 must reproduce the serial run byte for byte, on the
+  // instant network and on delayed and lossy ones.
   for (const char* network : {"instant", "delay=2,jitter=1", "drop=0.1"}) {
     for (const char* monitor : {"recompute", "recompute?nobeacon"}) {
       for (const std::string& family : workloads()) {
