@@ -38,10 +38,16 @@ struct ScaleCase {
 
 std::string case_name(std::size_t n, double activity, const char* network,
                       bool dense, bool burst) {
-  std::string net = parse_network_spec(network).is_instant() ? "instant"
-                                                             : "sched";
-  return "n" + std::to_string(n) + "_act" + fmt(activity, 2) + "_" + net +
-         (burst ? "_burst" : "") + (dense ? "_dense" : "_sparse");
+  // Appended piecewise: gcc 12 flags `"n" + std::string&&` with a false
+  // -Wrestrict.
+  std::string name = "n";
+  name += std::to_string(n);
+  name += "_act";
+  name += fmt(activity, 2);
+  name += parse_network_spec(network).is_instant() ? "_instant" : "_sched";
+  if (burst) name += "_burst";
+  name += dense ? "_dense" : "_sparse";
+  return name;
 }
 
 TOPKMON_SUITE(e16, "scale sweep: steps/sec vs n x activity (sparse vs dense "

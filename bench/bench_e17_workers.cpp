@@ -37,10 +37,16 @@ struct WorkerCase {
 
 std::string case_name(std::size_t n, double activity, const char* network,
                       std::size_t workers) {
-  const std::string net =
-      parse_network_spec(network).is_instant() ? "instant" : "sched";
-  return "n" + std::to_string(n) + "_act" + fmt(activity, 2) + "_" + net +
-         "_w" + std::to_string(workers);
+  // Appended piecewise: gcc 12 flags `"n" + std::string&&` with a false
+  // -Wrestrict.
+  std::string name = "n";
+  name += std::to_string(n);
+  name += "_act";
+  name += fmt(activity, 2);
+  name += parse_network_spec(network).is_instant() ? "_instant" : "_sched";
+  name += "_w";
+  name += std::to_string(workers);
+  return name;
 }
 
 TOPKMON_SUITE(e17, "worker scaling: steps/sec vs tick-scan workers "

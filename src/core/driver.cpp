@@ -30,6 +30,10 @@ void NodeCtx::set_needs_observe(bool needs) {
   driver_.set_needs_observe(id_, needs);
 }
 
+void NodeCtx::set_listening(bool listening) {
+  cluster_.net().set_listening(id_, listening);
+}
+
 void CoordCtx::control_broadcast(const Control& c) { driver_.queue_control(c); }
 
 const std::vector<Signal>& CoordCtx::signals() const {
@@ -37,6 +41,10 @@ const std::vector<Signal>& CoordCtx::signals() const {
 }
 
 void CoordCtx::arm_timer() { driver_.arm_coordinator(); }
+
+void CoordCtx::session_broadcast(Message m) {
+  cluster_.net().coord_session_broadcast(m);
+}
 
 SimDriver::SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
                      std::span<const std::unique_ptr<NodeAlgo>> nodes,
@@ -61,9 +69,13 @@ SimDriver::SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
   // NodeRuntime; reset them in case this driver replaces an earlier one
   // over the same cluster. Every node starts in the needs-observe set: an
   // algorithm must opt out (NodeCtx::set_needs_observe(false)) to certify
-  // that its on_observe is a no-op on an unchanged value.
+  // that its on_observe is a no-op on an unchanged value. Likewise every
+  // node starts listening to session broadcasts (the always-safe value).
   cluster_.runtime().armed.clear_all();
   cluster_.runtime().needs_observe.set_all();
+  for (NodeId id = 0; id < cluster_.size(); ++id) {
+    cluster_.net().set_listening(id, true);
+  }
 }
 
 bool SimDriver::anything_scheduled() const noexcept {
@@ -252,19 +264,17 @@ void SimDriver::service_node(NodeId id, WorkerShard* stage) {
     if (net.node_mail_is_broadcast_only(id)) {
       // Bulk broadcast fan-out: the node's mail is exactly the shared
       // log's unread suffix, so deliver it in place — no per-node copy,
-      // no merge, O(1) ack. The span stays valid across the callbacks:
+      // no merge, O(1) commit. The log stays put across the callbacks:
       // a node algorithm can only send upstream (coordinator inbox),
       // signal, or arm its own timer — nothing grows or compacts the
       // log until the next dirty-node drain or the post-scan compaction
       // (and during a parallel phase sends are staged, so the log is
       // strictly read-only until the barrier).
-      for (const Message& m : net.unread_broadcasts(id)) {
-        algo.on_message(ctx, m);
-      }
+      const auto deliver = [&](const Message& m) { algo.on_message(ctx, m); };
       if (stage != nullptr) {
-        net.ack_broadcasts_staged(id, stage->drain);
+        net.deliver_broadcasts_staged(id, stage->drain, deliver);
       } else {
-        net.ack_broadcasts(id);
+        net.deliver_broadcasts(id, deliver);
       }
     } else {
       std::vector<Message>& mail =

@@ -29,10 +29,13 @@
 // fall back to the dense scan (a control reaches every node by
 // definition), as does set_dense_loop(true), the benchmark/diagnostic
 // escape hatch. Within the scan, nodes whose due mail is purely
-// broadcasts take the bulk fan-out: the instant network hands out each
-// node's unread log suffix in place (Network::unread_broadcasts) and the
-// delivery commits with an O(1) ack — same messages, same order as a
-// drain, none of the per-node buffer traffic.
+// broadcasts take the bulk fan-out: the instant network commits each
+// node's unread log suffix in O(1) and delivers it in place
+// (Network::deliver_broadcasts) — same messages, same order as a drain,
+// none of the per-node buffer traffic. Session broadcasts (the protocol
+// round beacons) make only the nodes listening to them due
+// (NodeCtx::set_listening), so a beacon costs O(active), not O(n),
+// callbacks.
 //
 // Observation sparsity follows the same contract: step(t, changed) runs
 // on_observe only for nodes whose value changed this step plus nodes that

@@ -9,12 +9,6 @@ namespace topkmon {
 
 namespace {
 
-constexpr std::int64_t pack_session_c(std::uint32_t epoch,
-                                      std::uint32_t log_n) noexcept {
-  return static_cast<std::int64_t>(
-      (static_cast<std::uint64_t>(epoch) << 8) | log_n);
-}
-
 // Suspicion thresholds (Options::suspect). A healthy violating node's
 // report lands within the step that convened the repair (instant /
 // flushed-delay policies), so three consecutive signalled-but-silent
@@ -36,6 +30,7 @@ void FilterNode::on_init(NodeCtx& ctx, Value) {
   // The initial filter is [-inf, +inf]: every value is contained, so an
   // unchanged value can never need an observe until a boundary arrives.
   ctx.set_needs_observe(false);
+  sess_.reset(ctx);
 }
 
 void FilterNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
@@ -57,18 +52,9 @@ void FilterNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
 
 void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
   switch (m.kind) {
-    case MsgKind::kRoundBeacon: {
-      if (!in_session_) break;
-      const auto beacon = unpack_beacon_b(m.b);
-      if (beacon.epoch != epoch_) break;
-      // A beacon without a holder means "no report seen yet" and carries
-      // no deactivation power.
-      if (beacon.holder == kNoHolder) break;
-      has_beacon_ = true;
-      beacon_value_ = m.a;
-      beacon_holder_ = beacon.holder;
+    case MsgKind::kRoundBeacon:
+      sess_.handle_beacon(m);
       break;
-    }
     case MsgKind::kWinnerAnnounce: {
       // During FILTERRESET the announce order is common knowledge: the
       // first k winners are the new top-k, the (k+1)-st is the best
@@ -112,8 +98,7 @@ void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
       member_ = m.a != 0;
       filter_ = boundary_filter(m.b, member_);
       selecting_ = false;
-      in_session_ = false;
-      active_ = false;
+      sess_.reset(ctx);
       if (filter_.contains(ctx.value())) {
         pending_ = Pending::kNone;
         ctx.set_needs_observe(false);
@@ -138,13 +123,8 @@ void FilterNode::on_control(NodeCtx& ctx, const Control& c) {
       break;
     }
     case FilterControlOp::kStartSession: {
-      const auto dir = c.a == 1 ? Direction::kMin : Direction::kMax;
-      const auto group = static_cast<FilterSessionGroup>(c.b);
-      const auto epoch = static_cast<std::uint32_t>(c.c >> 8);
-      const auto log_n = static_cast<std::uint32_t>(c.c & 0xFF);
-
       bool join = false;
-      switch (group) {
+      switch (static_cast<FilterSessionGroup>(c.b)) {
         case FilterSessionGroup::kViolTop:
           join = (pending_ == Pending::kTop);
           if (join) pending_ = Pending::kNone;
@@ -163,47 +143,18 @@ void FilterNode::on_control(NodeCtx& ctx, const Control& c) {
           join = selecting_ && !excluded_;
           break;
       }
-      in_session_ = join;
-      if (!join) break;
-      active_ = true;
-      dir_ = dir;
-      epoch_ = epoch;
-      log_n_ = log_n;
-      round_ = 0;
-      has_beacon_ = false;
-      beacon_holder_ = kNoHolder;
-      ctx.arm_timer();
+      if (join) {
+        sess_.join(ctx, unpack_session_start(c));
+      } else {
+        sess_.skip(ctx);
+      }
       break;
     }
   }
 }
 
 void FilterNode::on_timer(NodeCtx& ctx) {
-  // One protocol round (Algorithm 2, node side).
-  if (!in_session_ || !active_) return;
-  const std::uint32_t r = round_++;
-
-  // Line 8: a node beaten by the broadcast extremum deactivates.
-  if (has_beacon_ &&
-      !beats(dir_, ctx.value(), ctx.id(), beacon_value_, beacon_holder_)) {
-    active_ = false;
-    return;
-  }
-
-  // Line 11: Bernoulli(2^r / N) coin flip; the final round has p = 1.
-  if (ctx.rng().bernoulli_pow2(r, log_n_)) {
-    Message report;
-    report.kind = MsgKind::kValueReport;
-    report.a = ctx.value();
-    ctx.send(report);
-    active_ = false;
-    return;
-  }
-  if (r >= log_n_) {
-    active_ = false;  // defensive; the final-round coin always succeeds
-    return;
-  }
-  ctx.arm_timer();
+  sess_.run_round(ctx, ctx.value());
 }
 
 void FilterNode::on_recover(NodeCtx& ctx) {
@@ -211,14 +162,11 @@ void FilterNode::on_recover(NodeCtx& ctx) {
   // session-scoped state must not — any protocol execution convened
   // while this node was down proceeded without it, so replaying a stale
   // round counter, beacon view or selection role would corrupt the run.
-  in_session_ = false;
-  active_ = false;
+  sess_.reset(ctx);
   selecting_ = false;
   excluded_ = false;
   announces_seen_ = 0;
   pending_ = Pending::kNone;
-  has_beacon_ = false;
-  beacon_holder_ = kNoHolder;
   // The surviving filter may predate boundaries renegotiated during the
   // outage: stay in the observe set until the re-sync handshake
   // re-anchors it (kFilterAssign re-certifies via its contains check).
@@ -231,6 +179,7 @@ void FilterNode::on_recover(NodeCtx& ctx) {
 
 FilterCoordinator::FilterCoordinator(std::size_t k, Options opts)
     : k_(k), opts_(opts) {
+  sess_.suppress_idle = opts_.suppress_idle_broadcasts;
   // A zero quota is meaningful only for a shard of a hierarchical
   // deployment: every node is an outsider whose filter watches the root
   // boundary from below.
@@ -353,7 +302,7 @@ void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
     // beyond the session window keeps producing stragglers that arrive
     // after the repair already aborted; those must not launder its
     // silence, or a laggard is never convicted.
-    if (session_active_ || phase_ != Phase::kIdle || m.b == 1) {
+    if (sess_.active || phase_ != Phase::kIdle || m.b == 1) {
       silent_steps_[m.from] = 0;
       std::erase_if(suspects_, [&](const Suspect& s) {
         return s.id == m.from && !s.quarantined;
@@ -367,20 +316,13 @@ void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
     handle_resync_reply(ctx, m.from, m.a);
     return;
   }
-  if (!session_active_ || m.kind != MsgKind::kValueReport) return;
-  if (!have_best_ ||
-      beats(sdir_, m.a, m.from, best_value_, best_holder_)) {
-    have_best_ = true;
-    best_value_ = m.a;
-    best_holder_ = m.from;
-    improved_ = true;
-  }
+  if (m.kind == MsgKind::kValueReport) sess_.fold(m);
 }
 
 void FilterCoordinator::on_timer(CoordCtx& ctx) {
   tick_resyncs(ctx);
   if (opts_.suspect && !suspects_.empty()) tick_suspects(ctx);
-  if (!session_active_) {
+  if (!sess_.active) {
     // Inter-iteration gap of a FILTERRESET selection: the previous
     // iteration's winner announcement is in flight; convening the next
     // iteration before it lands would let the winner re-join. Zero ticks
@@ -397,33 +339,10 @@ void FilterCoordinator::on_timer(CoordCtx& ctx) {
     }
     return;
   }
-  // End of round sround_ (Algorithm 2, coordinator side): the round's
-  // reports have been folded in via on_message.
-  if (sround_ < slog_n_) {
-    // Line 18: broadcast the running extremum (optionally only on change).
-    if (!opts_.suppress_idle_broadcasts || improved_) {
-      Message beacon;
-      beacon.kind = MsgKind::kRoundBeacon;
-      beacon.a = have_best_ ? best_value_ : kMinusInf;
-      beacon.b = pack_beacon_b(sepoch_, have_best_ ? best_holder_ : kNoHolder);
-      ctx.broadcast(beacon);
-    }
-    improved_ = false;
-    ++sround_;
-    ctx.arm_timer();
-    return;
-  }
-  // Final round complete. Under a delayed policy, reports may still be in
-  // flight: wait out the network's worst-case lag before concluding (zero
-  // extra ticks under instant delivery).
-  if (sflush_ > 0) {
-    --sflush_;
-    ctx.arm_timer();
-    return;
-  }
-  // Under lossless delivery every still-active participant reported, so
-  // the extremum is exact.
-  conclude_session(ctx);
+  // End of a round (Algorithm 2, coordinator side): the round's reports
+  // have been folded in via on_message. Under lossless delivery every
+  // still-active participant reported, so the concluded extremum is exact.
+  if (sess_.advance(ctx)) conclude_session(ctx);
 }
 
 void FilterCoordinator::start_cycle(CoordCtx& ctx) {
@@ -449,36 +368,14 @@ void FilterCoordinator::start_session(CoordCtx& ctx, Direction dir,
                                       FilterSessionGroup group,
                                       std::uint64_t n_upper, bool announce) {
   ++mstats_.protocol_runs;
-  sdir_ = dir;
-  sepoch_ = ctx.next_protocol_epoch();
-  slog_n_ = floor_log2(next_pow2(n_upper));
-  sround_ = 0;
-  sflush_ = ctx.flush_ticks();
-  have_best_ = false;
-  improved_ = false;
-  best_holder_ = kNoHolder;
-  session_active_ = true;
   announce_at_end_ = announce;
-
-  Control start;
-  start.op = static_cast<std::int64_t>(FilterControlOp::kStartSession);
-  start.a = dir == Direction::kMin ? 1 : 0;
-  start.b = static_cast<std::int64_t>(group);
-  start.c = pack_session_c(sepoch_, slog_n_);
-  ctx.control_broadcast(start);
-  ctx.arm_timer();
+  sess_.begin(ctx, static_cast<std::int64_t>(FilterControlOp::kStartSession),
+              dir, static_cast<std::int64_t>(group), n_upper);
 }
 
 void FilterCoordinator::conclude_session(CoordCtx& ctx) {
-  session_active_ = false;
-  if (announce_at_end_ && have_best_) {
-    Message announce;
-    announce.kind = MsgKind::kWinnerAnnounce;
-    announce.a = best_value_;
-    announce.b = pack_beacon_b(sepoch_, best_holder_);
-    ctx.broadcast(announce);
-  }
-  if (!have_best_) {
+  if (announce_at_end_) sess_.announce(ctx);
+  if (!sess_.have_best) {
     // Only possible under message loss: every report of the session was
     // dropped. Abandon the cycle; the next violation restarts repair.
     abort_cycle();
@@ -487,7 +384,7 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
 
   switch (phase_) {
     case Phase::kViolMin:
-      min_v_ = best_value_;
+      min_v_ = sess_.best_value;
       if (cycle_bot_) {
         phase_ = Phase::kViolMax;
         start_session(ctx, Direction::kMax, FilterSessionGroup::kViolBot,
@@ -497,14 +394,14 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
       }
       break;
     case Phase::kViolMax:
-      max_v_ = best_value_;
+      max_v_ = sess_.best_value;
       handler_transition(ctx);
       break;
     case Phase::kFullSide:
-      if (sdir_ == Direction::kMax) {
-        max_v_ = best_value_;
+      if (sess_.dir == Direction::kMax) {
+        max_v_ = sess_.best_value;
       } else {
-        min_v_ = best_value_;
+        min_v_ = sess_.best_value;
       }
       decide(ctx);
       break;
@@ -518,12 +415,12 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
       // succeed; suppressing it measured severalfold higher error rates
       // under loss (e15) for one saved message.
       for (const Winner& w : sel_winners_) {
-        if (w.id == best_holder_) {
+        if (w.id == sess_.best_holder) {
           abort_cycle();
           return;
         }
       }
-      sel_winners_.push_back(Winner{best_holder_, best_value_});
+      sel_winners_.push_back(Winner{sess_.best_holder, sess_.best_value});
       if (sel_winners_.size() < selection_target()) {
         const std::uint64_t gap = ctx.flush_ticks();
         if (gap == 0) {
@@ -648,7 +545,7 @@ Value FilterCoordinator::choose_boundary() const {
 }
 
 void FilterCoordinator::reanchor(CoordCtx& ctx) {
-  if (degenerate_ || phase_ != Phase::kIdle || session_active_) return;
+  if (degenerate_ || phase_ != Phase::kIdle || sess_.active) return;
   if (opts_.pinned_boundary == nullptr ||
       !opts_.pinned_boundary->has_value()) {
     return;
@@ -689,7 +586,7 @@ void FilterCoordinator::cycle_done(CoordCtx& ctx) {
 
 void FilterCoordinator::abort_cycle() {
   phase_ = Phase::kIdle;
-  session_active_ = false;
+  sess_.active = false;
   pending_select_ = false;
   select_gap_ = 0;
   min_v_.reset();
@@ -733,7 +630,7 @@ void FilterCoordinator::on_node_up(CoordCtx& ctx, NodeId id) {
   for (const Resync& r : resync_) {
     if (r.id == id) return;  // already pending (defensive; cleared on down)
   }
-  if (opts_.replay && phase_ == Phase::kIdle && !session_active_ &&
+  if (opts_.replay && phase_ == Phase::kIdle && !sess_.active &&
       topk_ids_.size() == k_) {
     // Warm-standby recovery: the coordinator's own state is the collapsed
     // assignment log — the node's membership (an outage always cleared
@@ -805,7 +702,7 @@ void FilterCoordinator::handle_resync_reply(CoordCtx& ctx, NodeId from,
   auto it = std::find_if(resync_.begin(), resync_.end(),
                          [from](const Resync& r) { return r.id == from; });
   if (it == resync_.end()) return;  // late duplicate of a completed re-sync
-  if (phase_ != Phase::kIdle || session_active_) {
+  if (phase_ != Phase::kIdle || sess_.active) {
     // Re-admitting mid-cycle would corrupt the running session's quorum;
     // park the reply — the retry probe finds the coordinator idle later.
     it->countdown = probe_timeout(ctx);
@@ -941,7 +838,7 @@ void FilterCoordinator::handle_release_reply(CoordCtx& ctx, NodeId from,
   auto it = std::find_if(suspects_.begin(), suspects_.end(),
                          [from](const Suspect& s) { return s.id == from; });
   if (it == suspects_.end() || !it->quarantined) return;
-  if (phase_ != Phase::kIdle || session_active_) {
+  if (phase_ != Phase::kIdle || sess_.active) {
     // Re-admitting mid-cycle would corrupt the running session's quorum;
     // the next release probe finds the coordinator idle later.
     it->release_wait = 1;

@@ -13,9 +13,10 @@
 //
 // Division of state, mirroring a real deployment:
 //  * FilterNode owns the node's filter interval, its top-k membership
-//    belief, and its per-session protocol state (round counter, beacon
-//    view, activation). All of it is updated exclusively from local
-//    observations and received (control) broadcasts.
+//    belief, and its per-session protocol state (a NodeProtoSession:
+//    round counter, beacon view, activation). All of it is updated
+//    exclusively from local observations and received (control)
+//    broadcasts.
 //  * FilterCoordinator owns the violation-cycle state machine
 //    (violation sessions -> missing-side session -> midpoint/reset), the
 //    T+/T- accumulators and the answer set.
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "core/filter.hpp"
+#include "core/role_session.hpp"
 #include "core/roles.hpp"
 #include "protocols/extremum.hpp"
 
@@ -97,21 +99,12 @@ class FilterNode final : public NodeAlgo {
   enum class Pending : std::uint8_t { kNone, kTop, kBot };
   Pending pending_ = Pending::kNone;
 
-  // Current protocol session (valid while in_session_).
-  bool in_session_ = false;
-  bool active_ = false;
-  Direction dir_ = Direction::kMax;
-  std::uint32_t epoch_ = 0;
-  std::uint32_t log_n_ = 0;
-  std::uint32_t round_ = 0;
-  bool has_beacon_ = false;
-  Value beacon_value_ = 0;
-  NodeId beacon_holder_ = kNoHolder;
-
   // Reset-selection bookkeeping.
   bool selecting_ = false;
   bool excluded_ = false;
   std::uint32_t announces_seen_ = 0;
+
+  NodeProtoSession sess_;  ///< current protocol session
 };
 
 /// Coordinator-side half of Algorithm 1.
@@ -328,17 +321,8 @@ class FilterCoordinator final : public CoordinatorAlgo {
   std::optional<Value> max_v_;
 
   // Current protocol session.
-  bool session_active_ = false;
-  Direction sdir_ = Direction::kMax;
-  std::uint32_t sepoch_ = 0;
-  std::uint32_t slog_n_ = 0;
-  std::uint32_t sround_ = 0;
-  std::uint64_t sflush_ = 0;  ///< post-final-round delay drain (0 on instant)
-  bool have_best_ = false;
-  bool improved_ = false;
-  Value best_value_ = 0;
-  NodeId best_holder_ = kNoHolder;
-  bool announce_at_end_ = false;
+  CoordProtoSession sess_;
+  bool announce_at_end_ = false;  ///< broadcast the winner on conclusion
 
   // Reset selection progress.
   struct Winner {

@@ -18,6 +18,7 @@ void OrderedNode::on_init(NodeCtx& ctx, Value) {
   // The initial guard interval is [-inf, +inf]; the coordinator's init
   // reset assigns real slots through the announce order.
   ctx.set_needs_observe(false);
+  sess_.reset(ctx);
 }
 
 void OrderedNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
@@ -131,7 +132,7 @@ void OrderedNode::on_control(NodeCtx& ctx, const Control& c) {
       if (join) {
         sess_.join(ctx, unpack_session_start(c));
       } else {
-        sess_.skip();
+        sess_.skip(ctx);
       }
       break;
     }
@@ -145,7 +146,7 @@ void OrderedNode::on_recover(NodeCtx& ctx) {
   // outage; session- and selection-scoped state must not. The filter may
   // predate slots renegotiated during the outage — stay in the observe
   // set until the coordinator's recovery reset re-ranks everyone.
-  sess_.reset();
+  sess_.reset(ctx);
   selecting_ = false;
   excluded_ = false;
   announces_seen_ = 0;

@@ -25,7 +25,7 @@ void RecomputeNode::on_control(NodeCtx& ctx, const Control& c) {
       break;
     case RecomputeControlOp::kStartSession:
       if (excluded_) {
-        sess_.skip();
+        sess_.skip(ctx);
       } else {
         sess_.join(ctx, unpack_session_start(c));
       }

@@ -37,12 +37,13 @@ class RecomputeNode final : public NodeAlgo {
     // Values are read when a session round runs; an observation alone
     // never sends, signals or flips a coin.
     ctx.set_needs_observe(false);
+    sess_.reset(ctx);
   }
   void on_message(NodeCtx& ctx, const Message& m) override;
   void on_control(NodeCtx& ctx, const Control& c) override;
   void on_timer(NodeCtx& ctx) override { sess_.run_round(ctx, ctx.value()); }
-  void on_recover(NodeCtx&) override {
-    sess_.reset();
+  void on_recover(NodeCtx& ctx) override {
+    sess_.reset(ctx);
     excluded_ = false;
   }
 

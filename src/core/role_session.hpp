@@ -1,16 +1,20 @@
 // Reusable node/coordinator halves of one randomized extremum session
-// (Algorithm 2) for native role ports. This is the session machinery of
-// core/filter_roles.cpp factored into two plain structs so the ordered
-// and multi-k ports (core/ordered_roles.hpp, core/multik_roles.hpp) run
-// the exact same wire protocol — same kStartSession control packing,
-// same per-round kRoundBeacon / kValueReport exchange, same Bernoulli
-// coin schedule, same flush-window conclusion — without re-implementing
-// it. The filter port keeps its own inlined copy: its session state is
-// entangled with suspicion bookkeeping the shared struct must not grow.
+// (Algorithm 2) for native role ports. Every session-hosting monitor
+// (filter, ordered, multi-k, recompute) runs its sessions through these
+// two plain structs, so they share one wire protocol — same
+// kStartSession control packing, same per-round kRoundBeacon /
+// kValueReport exchange, same Bernoulli coin schedule, same flush-window
+// conclusion — and one place that keeps the node's listening flag
+// (NodeCtx::set_listening) in step with its session role.
 //
 // Division of labour: the owner decides who participates (group
 // semantics stay monitor-specific), counts protocol_runs, and handles
 // the conclusion; the structs own only the round/beacon/flush mechanics.
+//
+// Beacon scope: round beacons go out as session broadcasts, which reach
+// only the listening nodes. A node listens from join() until it
+// deactivates (beaten, reported, skipped or reset); every beacon it
+// misses meanwhile is one its run_round would ignore.
 #pragma once
 
 #include <cstdint>
@@ -46,18 +50,21 @@ inline SessionStart unpack_session_start(const Control& c) noexcept {
 
 /// Node-side state of one protocol session: the round counter, the last
 /// beacon seen, and the activation flag. The owner calls join()/skip()
-/// from its kStartSession handler, handle_beacon() from on_message, and
-/// run_round() from on_timer.
+/// from its kStartSession handler, handle_beacon() from on_message,
+/// run_round() from on_timer, and reset() from on_init and on_recover.
+/// The node listens to session broadcasts exactly while `in && active`.
 struct NodeProtoSession {
-  bool in = false;      ///< joined the currently convened session
-  bool active = false;  ///< still eligible to report
-  Direction dir = Direction::kMax;
+  // Widest fields first: the struct sits in every node object, and this
+  // order packs it into 32 bytes.
+  Value beacon_value = kMinusInf;
   std::uint32_t epoch = 0;
   std::uint32_t log_n = 0;
   std::uint32_t round = 0;
-  bool has_beacon = false;
-  Value beacon_value = kMinusInf;
   NodeId beacon_holder = kNoHolder;
+  Direction dir = Direction::kMax;
+  bool in = false;      ///< joined the currently convened session
+  bool active = false;  ///< still eligible to report
+  bool has_beacon = false;
 
   void join(NodeCtx& ctx, const SessionStart& s) {
     in = true;
@@ -68,10 +75,14 @@ struct NodeProtoSession {
     round = 0;
     has_beacon = false;
     beacon_holder = kNoHolder;
+    ctx.set_listening(true);
     ctx.arm_timer();
   }
 
-  void skip() { in = false; }
+  void skip(NodeCtx& ctx) {
+    in = false;
+    ctx.set_listening(false);
+  }
 
   void handle_beacon(const Message& m) {
     if (!in) return;
@@ -96,7 +107,7 @@ struct NodeProtoSession {
     // Line 8: a node beaten by the broadcast extremum deactivates.
     if (has_beacon &&
         !beats(dir, report_value, ctx.id(), beacon_value, beacon_holder)) {
-      active = false;
+      deactivate(ctx);
       return;
     }
 
@@ -107,23 +118,31 @@ struct NodeProtoSession {
       report.a = report_value;
       report.b = report_b;
       ctx.send(report);
-      active = false;
+      deactivate(ctx);
       return;
     }
     if (r >= log_n) {
-      active = false;  // defensive; the final-round coin always succeeds
+      deactivate(ctx);  // defensive; the final-round coin always succeeds
       return;
     }
     ctx.arm_timer();
   }
 
   /// Session-scoped state must not survive an outage or a re-anchor.
-  void reset() {
+  void reset(NodeCtx& ctx) {
     in = false;
     active = false;
     has_beacon = false;
     beacon_holder = kNoHolder;
     round = 0;
+    ctx.set_listening(false);
+  }
+
+ private:
+  /// An inactive node ignores every later beacon of the session.
+  void deactivate(NodeCtx& ctx) {
+    active = false;
+    ctx.set_listening(false);
   }
 };
 
@@ -144,6 +163,7 @@ struct CoordProtoSession {
   bool improved = false;
   Value best_value = 0;
   NodeId best_holder = kNoHolder;
+  SimTime begin_tick = 0;  ///< delivery tick begin() ran in
 
   /// Starts a session and emits its kStartSession control under the
   /// monitor's own control opcode; `group` rides in the control's b word
@@ -160,6 +180,7 @@ struct CoordProtoSession {
     improved = false;
     best_holder = kNoHolder;
     active = true;
+    begin_tick = ctx.now();
 
     Control start;
     start.op = control_op;
@@ -186,13 +207,21 @@ struct CoordProtoSession {
   /// session just concluded — the caller then reads have_best/best_*.
   bool advance(CoordCtx& ctx) {
     if (round < log_n) {
-      // Line 18: broadcast the running extremum (optionally on change).
+      // Line 18: broadcast the running extremum (optionally on change)
+      // to the nodes still active in the session. A beacon issued in the
+      // tick the session began (convened from on_message, before its
+      // start control reached any node) goes to every node: under a
+      // delayed policy it can land after the nodes joined.
       if (!suppress_idle || improved) {
         Message beacon;
         beacon.kind = MsgKind::kRoundBeacon;
         beacon.a = have_best ? best_value : kMinusInf;
         beacon.b = pack_beacon_b(epoch, have_best ? best_holder : kNoHolder);
-        ctx.broadcast(beacon);
+        if (ctx.now() == begin_tick) {
+          ctx.broadcast(beacon);
+        } else {
+          ctx.session_broadcast(beacon);
+        }
       }
       improved = false;
       ++round;

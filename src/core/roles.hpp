@@ -61,7 +61,8 @@ class SimDriver;
 /// only this node's own state (value, rng — one owner per id) or routes
 /// through the driver's parallel-phase-aware plumbing (send/signal are
 /// staged per shard and replayed in serial order at the tick barrier;
-/// arm_timer/set_needs_observe write bits in words owned by the calling
+/// arm_timer/set_needs_observe/set_listening write bits (and, for
+/// set_listening, the node's own mail cursor) owned by the calling
 /// shard). A NodeAlgo that keeps all its state per-instance — the native
 /// implementations do — therefore needs no synchronization of its own.
 class NodeCtx {
@@ -107,6 +108,20 @@ class NodeCtx {
   /// equivalence tests pin the contract for the in-tree algorithms.
   void set_needs_observe(bool needs);
 
+  /// Declares whether this node wants session-scoped broadcasts
+  /// (CoordCtx::session_broadcast: the protocol-round beacons). Every
+  /// node starts listening, the safe default: it then receives them all,
+  /// exactly like plain broadcasts. Clearing the flag certifies that
+  /// every scoped message issued while it stays clear is a no-op for this
+  /// node, whenever it would have been delivered — no message, no signal,
+  /// no coin flip, no state change anyone can observe. A session node
+  /// sets it when it joins a session and clears it when it deactivates,
+  /// skips a session, and in on_init / on_recover (NodeProtoSession does
+  /// all of that). Getting this wrong silently diverges from unscoped
+  /// delivery; the golden digests and the scoped-broadcast tests pin the
+  /// contract for the in-tree algorithms.
+  void set_listening(bool listening);
+
  private:
   SimDriver& driver_;
   Cluster& cluster_;
@@ -137,6 +152,14 @@ class CoordCtx {
 
   /// Broadcasts `m` to all nodes (charged once, per the paper's model).
   void broadcast(Message m) { cluster_.net().coord_broadcast(m); }
+
+  /// Broadcasts `m` to the nodes listening when it is issued
+  /// (NodeCtx::set_listening) — charged once and tapped exactly like
+  /// broadcast(); only the set of nodes it reaches is smaller.
+  void session_broadcast(Message m);
+
+  /// Current delivery tick.
+  SimTime now() const noexcept { return cluster_.net().now(); }
 
   /// Issues an uncharged control broadcast, delivered to every node at the
   /// start of the next node phase.

@@ -35,7 +35,7 @@ ProtocolResult run_extremum_protocol(Cluster& cluster,
   std::vector<Message> mail;  // drain scratch, reused across rounds
 
   NodeRuntime& rt = cluster.runtime();
-  for (const NodeId id : participants) rt.active.set(id);
+  for (const NodeId id : participants) rt.listening.set(id);
 
   // Coordinator-side running extremum, fed exclusively by received reports.
   bool have_best = false;
@@ -48,7 +48,7 @@ ProtocolResult run_extremum_protocol(Cluster& cluster,
     // --- node phase -------------------------------------------------------
     for (std::size_t idx = 0; idx < participants.size(); ++idx) {
       const NodeId id = participants[idx];
-      if (!rt.active.test(id)) continue;
+      if (!rt.listening.test(id)) continue;
       const Value node_value = rt.values[id];
 
       // Receive pending broadcasts; keep only beacons of this epoch.
@@ -70,7 +70,7 @@ ProtocolResult run_extremum_protocol(Cluster& cluster,
       if (views[idx].has_beacon &&
           !beats(dir, node_value, id, views[idx].beacon_value,
                  views[idx].beacon_holder)) {
-        rt.active.clear(id);
+        rt.listening.clear(id);
         continue;
       }
 
@@ -81,7 +81,7 @@ ProtocolResult run_extremum_protocol(Cluster& cluster,
         report.a = node_value;
         net.node_send(id, report);
         ++result.reports;
-        rt.active.clear(id);
+        rt.listening.clear(id);
       }
     }
 
@@ -118,16 +118,7 @@ ProtocolResult run_extremum_protocol(Cluster& cluster,
   result.winner = best_holder;
   result.extremum = best_value;
 
-  if (opts.announce_winner && result.found) {
-    Message announce;
-    announce.kind = MsgKind::kWinnerAnnounce;
-    announce.a = result.extremum;
-    announce.b = pack_beacon_b(epoch, result.winner);
-    net.coord_broadcast(announce);
-    ++result.announces;
-  }
-
-  for (const NodeId id : participants) rt.active.clear(id);
+  for (const NodeId id : participants) rt.listening.clear(id);
   return result;
 }
 

@@ -32,11 +32,6 @@ struct ProtocolOptions {
   /// improved this round (the paper broadcasts every round; suppression
   /// trades beacon messages for weaker node deactivation).
   bool suppress_idle_broadcasts = false;
-
-  /// Broadcast a final kWinnerAnnounce carrying (winner, value). Used by
-  /// repeated-extremum selection so every node learns the winner (e.g. to
-  /// exclude it from the next iteration / learn top-k membership).
-  bool announce_winner = false;
 };
 
 /// Outcome and message accounting of one protocol execution. The messages
@@ -49,11 +44,8 @@ struct ProtocolResult {
   std::uint32_t rounds = 0;    ///< rounds executed (log N + 1)
   std::uint64_t reports = 0;   ///< node -> coordinator value reports
   std::uint64_t beacons = 0;   ///< coordinator round-beacon broadcasts
-  std::uint64_t announces = 0; ///< winner-announce broadcasts (0 or 1)
 
-  std::uint64_t messages() const noexcept {
-    return reports + beacons + announces;
-  }
+  std::uint64_t messages() const noexcept { return reports + beacons; }
 };
 
 /// True if (va, ia) beats (vb, ib) in direction `dir` under the smaller-id

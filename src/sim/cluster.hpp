@@ -53,7 +53,7 @@ class Cluster {
   /// The shared structure-of-arrays per-node machine state. The Network
   /// maintains runtime().due_mail; the SimDriver maintains
   /// runtime().armed / runtime().needs_observe; protocol executions use
-  /// runtime().active / runtime().rngs.
+  /// runtime().listening / runtime().rngs.
   NodeRuntime& runtime() noexcept { return runtime_; }
   const NodeRuntime& runtime() const noexcept { return runtime_; }
 

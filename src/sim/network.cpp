@@ -53,12 +53,16 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
   if (runtime != nullptr) {
     due_mail_ = &runtime->due_mail;  // shared structure-of-arrays state
     alive_ = &runtime->alive;
+    listening_ = &runtime->listening;
   } else {
     owned_due_mail_ = IdBitset(n);
     due_mail_ = &owned_due_mail_;
     owned_alive_ = IdBitset(n);
     owned_alive_.set_all();
     alive_ = &owned_alive_;
+    owned_listening_ = IdBitset(n);
+    owned_listening_.set_all();
+    listening_ = &owned_listening_;
   }
   // Mix the seed once so that a zero scenario seed still decorrelates the
   // link hash from the message sequence numbers.
@@ -324,6 +328,77 @@ void Network::coord_broadcast(Message m) {
   }
 }
 
+void Network::coord_session_broadcast(Message m) {
+  stats_->record_broadcast(m.kind);
+  if (tap_) tap_(MsgDirection::kBroadcast, m);
+  const std::uint64_t seq = seq_++;
+  const auto listening = listening_->words();
+  if (!instant_) {
+    // Recipients only; schedule_link depends on (seq, link) alone, so
+    // each recipient's tick or drop is the one coord_broadcast gives it.
+    ++broadcasts_issued_;
+    for_each_set_bit(listening, [&](NodeId id) {
+      if (const auto due = schedule_link(seq, id)) {
+        schedule_delivery(id, *due, seq, m);
+      } else {
+        ++dropped_;
+      }
+    });
+    return;
+  }
+  bcast_msgs_.push_back(m);
+  bcast_seqs_.push_back(seq | kScopedTag);
+  const std::size_t end = log_offset_ + bcast_msgs_.size();
+  const auto alive = alive_->words();
+  const auto due = due_mail_->mutable_words();
+  for (std::size_t w = 0; w < due.size(); ++w) {
+    const std::uint64_t to = listening[w] & alive[w];
+    const std::uint64_t was_due = due[w];
+    due[w] = was_due | to;
+    pending_ += static_cast<std::uint64_t>(std::popcount(to));
+    dropped_ += static_cast<std::uint64_t>(
+        std::popcount(listening[w] & ~alive[w]));
+    // A live non-recipient with nothing unread skips the entry now. One
+    // that is due for other mail skips it when it reads, since it is not
+    // listening then.
+    std::uint64_t idle = alive[w] & ~(was_due | to);
+    std::size_t* cursor = cursors_.data() + w * 64;
+    if (idle == ~std::uint64_t{0}) {
+      std::fill(cursor, cursor + 64, end);
+      continue;
+    }
+    while (idle != 0) {
+      cursor[std::countr_zero(idle)] = end;
+      idle &= idle - 1;
+    }
+  }
+}
+
+void Network::set_listening(NodeId id, bool listening) {
+  if (listening_->test(id) == listening) return;
+  if (instant_ && due_mail_->test(id)) {
+    // Unread entries were scoped under the old bit: move the deliverable
+    // ones into the unicast buffer (both sources are seq-ascending, so a
+    // merge keeps send order) and mark the log suffix read.
+    std::vector<Stamped>& uni = unicasts_[id];
+    std::vector<Stamped> merged;
+    const bool skip_scoped = !listening_->test(id);
+    std::size_t u = 0;
+    for (std::size_t b = cursors_[id] - log_offset_; b < bcast_msgs_.size();
+         ++b) {
+      if (skip_scoped && scoped_entry(b)) continue;
+      const std::uint64_t seq = bcast_seqs_[b] & ~kScopedTag;
+      while (u < uni.size() && uni[u].seq < seq) merged.push_back(uni[u++]);
+      merged.push_back(Stamped{seq, bcast_msgs_[b]});
+    }
+    merged.insert(merged.end(), uni.begin() + static_cast<std::ptrdiff_t>(u),
+                  uni.end());
+    uni.swap(merged);
+    cursors_[id] = log_offset_ + bcast_msgs_.size();
+  }
+  listening_->assign(id, listening);
+}
+
 bool Network::coordinator_has_mail() const noexcept {
   if (instant_) return !coord_inbox_.empty();
   return ready_[num_nodes()].head != kNil;
@@ -395,21 +470,22 @@ std::size_t Network::merge_instant_mail(NodeId id, std::vector<Message>& out) {
   // vector; the unicast buffer and `out` keep their capacity across
   // drains. The log's parallel layout keeps the comparison loop on the
   // dense seq array.
+  // A node that is not listening skips the session-scoped entries.
   std::vector<Stamped>& uni = unicasts_[id];
   const std::size_t bstart = cursors_[id] - log_offset_;
-  out.reserve(uni.size() + (bcast_msgs_.size() - bstart));
+  const std::size_t bend = bcast_msgs_.size();
+  const bool skip_scoped = !listening_->test(id);
+  const std::size_t before = out.size();
+  out.reserve(before + uni.size() + (bend - bstart));
   std::size_t u = 0;
-  std::size_t b = bstart;
-  while (u < uni.size() && b < bcast_msgs_.size()) {
-    if (uni[u].seq < bcast_seqs_[b]) {
-      out.push_back(uni[u++].msg);
-    } else {
-      out.push_back(bcast_msgs_[b++]);
-    }
+  for (std::size_t b = bstart; b < bend; ++b) {
+    if (skip_scoped && scoped_entry(b)) continue;
+    const std::uint64_t seq = bcast_seqs_[b] & ~kScopedTag;
+    while (u < uni.size() && uni[u].seq < seq) out.push_back(uni[u++].msg);
+    out.push_back(bcast_msgs_[b]);
   }
   for (; u < uni.size(); ++u) out.push_back(uni[u].msg);
-  for (; b < bcast_msgs_.size(); ++b) out.push_back(bcast_msgs_[b]);
-  const std::size_t delivered = uni.size() + (bcast_msgs_.size() - bstart);
+  const std::size_t delivered = out.size() - before;
   uni.clear();
   cursors_[id] = log_offset_ + bcast_msgs_.size();
   due_mail_->clear(id);
@@ -458,13 +534,12 @@ void Network::set_node_down(NodeId id) {
   ++down_count_;
   if (instant_) {
     // Queued-but-undrained mail dies with the node.
-    const std::size_t total = log_offset_ + bcast_msgs_.size();
     const std::uint64_t queued =
-        unicasts_[id].size() + (total - cursors_[id]);
+        unicasts_[id].size() + unread_broadcast_deliveries(id);
     pending_ -= queued;
     dropped_ += queued;
     unicasts_[id].clear();
-    cursors_[id] = total;
+    cursors_[id] = log_offset_ + bcast_msgs_.size();
   } else if (!ready_.empty()) {
     // Purge the delivered-but-undrained ready list; in-flight wheel /
     // overflow entries addressed to the node are dropped lazily at their
@@ -498,6 +573,17 @@ void Network::set_node_up(NodeId id) {
     // counted dropped at issue time); delivery resumes with the next send.
     cursors_[id] = log_offset_ + bcast_msgs_.size();
   }
+}
+
+std::size_t Network::unread_broadcast_deliveries(NodeId id) const noexcept {
+  const std::size_t start = cursors_[id] - log_offset_;
+  std::size_t count = bcast_msgs_.size() - start;
+  if (!listening_->test(id)) {
+    for (std::size_t b = start; b < bcast_msgs_.size(); ++b) {
+      if (scoped_entry(b)) --count;
+    }
+  }
+  return count;
 }
 
 void Network::maybe_compact_broadcast_log() {

@@ -24,6 +24,20 @@
 //     allocation-free at steady state (the slab free list recycles
 //     nodes), and earliest_pending() costs O(1) in n.
 //
+// Session scope: coord_session_broadcast() is a broadcast whose
+// recipients are the nodes whose NodeRuntime::listening bit is set when
+// it is issued (protocol-round beacons reach only the nodes still active
+// in the session). It is charged exactly like coord_broadcast. Under the
+// instant policy the entry goes into the same shared log, tagged in the
+// top bit of its seq stamp; it makes only its recipients due, and every
+// other live node that has nothing unread skips it at once (its cursor
+// moves past the entry), so "a live node whose due bit is clear has read
+// the whole log" stays true. A node that is due for other mail skips the
+// tagged entries when it reads, because it is not listening then. Under
+// a scheduled policy the fan-out covers the recipients only, and each
+// gets the same per-link schedule as from coord_broadcast. Neither path
+// stores anything per recipient.
+//
 // Message *sends* are always charged to CommStats — the paper's objective
 // counts transmissions; a dropped message still cost its sender one unit.
 //
@@ -40,12 +54,13 @@
 //
 // Threading: the network is single-owner — every method is meant to be
 // called from the thread driving the simulation — EXCEPT the explicitly
-// marked parallel-phase subset (drain_node_staged / ack_broadcasts_staged
-// / unread_broadcasts / node_mail_is_broadcast_only / node_has_mail),
-// which the SimDriver's worker shards may call concurrently for node ids
-// they own: those methods touch only id-owned state (the id's unicast
-// buffer, cursor, ready list, due bit word) plus the caller's private
-// DrainStage, never the shared accounting. The staged deltas become
+// marked parallel-phase subset (drain_node_staged /
+// deliver_broadcasts_staged / set_listening / node_mail_is_broadcast_only
+// / node_has_mail), which the SimDriver's worker shards may call
+// concurrently for node ids they own: those methods touch only id-owned
+// state (the id's unicast buffer, cursor, ready list, due and listening
+// bit words) plus the caller's private DrainStage, never the shared
+// accounting. The staged deltas become
 // visible via commit_drain_stage() on the owner thread after the tick
 // barrier (the WorkerPool join provides the happens-before edge). See
 // docs/architecture.md, "Parallel tick loop".
@@ -165,6 +180,22 @@ class Network {
   /// model). Owner thread only.
   void coord_broadcast(Message m);
 
+  /// Coordinator broadcasts `m` to the nodes listening right now
+  /// (NodeRuntime::listening; see the header comment). Charged and tapped
+  /// exactly like coord_broadcast. Down listening nodes count as dropped
+  /// deliveries under the instant policy; under a scheduled policy they
+  /// are dropped at their due tick, as for coord_broadcast. Owner thread
+  /// only.
+  void coord_session_broadcast(Message m);
+
+  /// Sets node id's listening bit. A change while the node still has
+  /// unread instant-mode broadcasts (possible only outside its own mail
+  /// read, e.g. from on_observe when a tick budget carried mail over)
+  /// first moves the deliverable ones into its unicast buffer, so the
+  /// scope of every entry stays the one it was issued with. Parallel-
+  /// phase safe for the id's owning shard (id-owned state only).
+  void set_listening(NodeId id, bool listening);
+
   // -- receiving ------------------------------------------------------------
   /// Drains every deliverable message in the coordinator's inbox into
   /// `out` (cleared first; capacity retained), in arrival order. This is
@@ -227,15 +258,13 @@ class Network {
   void drain_node_staged(NodeId id, std::vector<Message>& out,
                          DrainStage& stage);
 
-  /// ack_broadcasts, minus the shared-state effects (the pending-delivery
-  /// decrement goes into `stage`). Parallel-phase safe for the id's
-  /// owning shard; same precondition as ack_broadcasts.
-  void ack_broadcasts_staged(NodeId id, DrainStage& stage) noexcept {
-    assert(node_mail_is_broadcast_only(id));
-    const std::size_t total = log_offset_ + bcast_msgs_.size();
-    stage.delivered += total - cursors_[id];
-    cursors_[id] = total;
-    due_mail_->clear(id);
+  /// deliver_broadcasts, minus the shared-state effects (the
+  /// pending-delivery decrement goes into `stage`). Parallel-phase safe
+  /// for the id's owning shard; same precondition as deliver_broadcasts.
+  template <typename Deliver>
+  void deliver_broadcasts_staged(NodeId id, DrainStage& stage,
+                                 Deliver&& deliver) {
+    stage.delivered += read_broadcasts(id, deliver);
   }
 
   /// Applies one shard's staged deltas: settles the pending/ready
@@ -270,54 +299,43 @@ class Network {
   // A broadcast tick makes every node due at once; draining each node
   // individually copies the same log suffix n times. Nodes with no
   // pending unicasts ("sparse-clean") can instead read their suffix *in
-  // place* from the shared log and commit with an O(1) ack, so one pass
-  // over the log serves all clean nodes with zero per-message copies.
+  // place* from the shared log and commit in O(1), so one pass over the
+  // log serves all clean nodes with zero per-message copies.
   // Byte-equivalent to drain_node: a clean node's merge input is the
   // suffix alone.
 
   /// True iff node id's pending mail consists solely of broadcast-log
-  /// entries — the precondition of unread_broadcasts()/ack_broadcasts().
-  /// Always false under a scheduled policy. No bounds check (hot path).
-  /// Parallel-phase safe for the id's owning shard.
+  /// entries — the precondition of deliver_broadcasts(). Always false
+  /// under a scheduled policy. No bounds check (hot path). Parallel-phase
+  /// safe for the id's owning shard.
   bool node_mail_is_broadcast_only(NodeId id) const noexcept {
     return instant_ && unicasts_[id].empty();
   }
 
-  /// Node id's unread broadcast suffix, in issue order, served directly
-  /// from the shared log (no copy). Valid only while
-  /// node_mail_is_broadcast_only(id); invalidated by any send, drain or
-  /// compact_broadcast_log() call (the log may grow or shift). Parallel-
-  /// phase safe: the log is read-only during a parallel phase (sends are
-  /// staged, compaction deferred to the barrier), and cursors_[id] is
-  /// owned by the id's shard.
-  std::span<const Message> unread_broadcasts(NodeId id) const noexcept {
-    return std::span<const Message>(bcast_msgs_)
-        .subspan(cursors_[id] - log_offset_);
-  }
-
-  /// Commits a bulk delivery for node id: marks its broadcasts read,
-  /// settles the pending-delivery accounting and clears its due bit.
-  /// Requires node_mail_is_broadcast_only(id) (debug-asserted) — acking
-  /// a node with pending unicasts would clear its due bit while its
-  /// unicasts stay queued. Unlike drain_node this never compacts the
-  /// log (so spans handed to other nodes in the same pass stay stable)
-  /// — callers fanning out to many nodes run compact_broadcast_log()
-  /// once afterwards. Owner thread only (settles the shared pending
-  /// counter) — parallel shards use ack_broadcasts_staged.
-  void ack_broadcasts(NodeId id) noexcept {
-    assert(node_mail_is_broadcast_only(id));
-    const std::size_t total = log_offset_ + bcast_msgs_.size();
-    pending_ -= total - cursors_[id];
-    cursors_[id] = total;
-    due_mail_->clear(id);
+  /// Bulk delivery for node id: marks its unread broadcast suffix read,
+  /// settles the pending-delivery accounting and clears its due bit, then
+  /// calls `deliver(m)` for every entry of that suffix in issue order,
+  /// served in place from the shared log (no copy). Session-scoped
+  /// entries are skipped when the node is not listening. Requires
+  /// node_mail_is_broadcast_only(id) (debug-asserted) — committing a node
+  /// with pending unicasts would clear its due bit while its unicasts
+  /// stay queued. `deliver` may run node callbacks: those can only send
+  /// upstream, so the log neither grows nor shifts under the in-place
+  /// reads. Unlike drain_node this never compacts the log (so suffixes
+  /// read by other nodes in the same pass stay put) — callers fanning out
+  /// to many nodes run compact_broadcast_log() once afterwards. Owner
+  /// thread only (settles the shared pending counter) — parallel shards
+  /// use deliver_broadcasts_staged.
+  template <typename Deliver>
+  void deliver_broadcasts(NodeId id, Deliver&& deliver) {
+    pending_ -= read_broadcasts(id, deliver);
   }
 
   /// Drops the all-read broadcast-log prefix when worthwhile (cheap
   /// length check, O(n) cursor scan only past the threshold). drain_node
   /// does this implicitly; bulk fan-out passes call it once per tick.
   /// No-op under scheduled policies. Invisible to delivery semantics.
-  /// Owner thread only (shifts the log every unread_broadcasts span
-  /// aliases).
+  /// Owner thread only (shifts the log the in-place reads point into).
   void compact_broadcast_log() { maybe_compact_broadcast_log(); }
 
   /// Total broadcasts ever issued (compaction does not lower this; under
@@ -332,7 +350,8 @@ class Network {
   // their commit_drain_stage() at the barrier.
 
   /// Number of sent-but-not-yet-drained message deliveries (a broadcast
-  /// counts once per receiving link; dropped links never count).
+  /// counts once per receiving link — a session-scoped one once per
+  /// recipient; dropped links never count).
   std::uint64_t pending_deliveries() const noexcept { return pending_; }
 
   /// Earliest tick at which a pending message can be drained: `now()`
@@ -362,6 +381,37 @@ class Network {
     std::uint64_t seq;
     Message msg;
   };
+
+  /// Tag bit of a session-scoped entry's stamp in bcast_seqs_ (seq
+  /// numbers never reach it). Unicast stamps are never tagged.
+  static constexpr std::uint64_t kScopedTag = std::uint64_t{1} << 63;
+
+  /// True iff a node that is not listening skips log entry `i` (relative
+  /// to log_offset_).
+  bool scoped_entry(std::size_t i) const noexcept {
+    return (bcast_seqs_[i] & kScopedTag) != 0;
+  }
+
+  /// Shared core of deliver_broadcasts(_staged): commits node id's unread
+  /// suffix, then delivers it in place. Returns the number of deliveries.
+  template <typename Deliver>
+  std::size_t read_broadcasts(NodeId id, Deliver& deliver) {
+    assert(node_mail_is_broadcast_only(id));
+    // Commit first: callbacks then see a node with nothing unread, so a
+    // set_listening() from them never has unread entries to re-scope.
+    const bool skip_scoped = !listening_->test(id);
+    const std::size_t end = bcast_msgs_.size();
+    std::size_t i = cursors_[id] - log_offset_;
+    cursors_[id] = log_offset_ + end;
+    due_mail_->clear(id);
+    std::size_t delivered = 0;
+    for (; i < end; ++i) {
+      if (skip_scoped && scoped_entry(i)) continue;
+      ++delivered;
+      deliver(bcast_msgs_[i]);
+    }
+    return delivered;
+  }
 
   /// One in-flight scheduled message, arena-allocated in the slab and
   /// threaded through exactly one list (a wheel bucket, then a ready
@@ -426,6 +476,10 @@ class Network {
   /// retained log grows past the compaction threshold.
   void maybe_compact_broadcast_log();
 
+  /// Instant mode: how many entries of node id's unread broadcast suffix
+  /// it would be delivered (the scoped ones count only if it listens).
+  std::size_t unread_broadcast_deliveries(NodeId id) const noexcept;
+
   NetworkSpec spec_;
   bool instant_ = true;   ///< pure lock-step fast path
   std::uint64_t hash_seed_ = 0;
@@ -451,12 +505,19 @@ class Network {
   IdBitset* alive_ = nullptr;
   std::size_t down_count_ = 0;
 
+  /// Per-node session-scope flags (all set unless a node clears its
+  /// own). Points at the shared NodeRuntime's listening bits when a
+  /// runtime was supplied, else at owned_listening_.
+  IdBitset owned_listening_;
+  IdBitset* listening_ = nullptr;
+
   // Instant mode: flat inboxes + shared broadcast log with read cursors.
   // The log is split into parallel arrays (messages / seq stamps) so the
   // bulk fan-out hands out contiguous Message spans and the merge in
-  // drain_node compares a dense seq array. Cursors are absolute (count of
-  // broadcasts read since construction); log_offset_ is the absolute
-  // index of bcast_msgs_[0] after prefix compaction.
+  // drain_node compares a dense seq array (session-scoped entries carry
+  // kScopedTag in it). Cursors are absolute (count of broadcasts read
+  // since construction); log_offset_ is the absolute index of
+  // bcast_msgs_[0] after prefix compaction.
   std::vector<Message> coord_inbox_;
   std::vector<Message> bcast_msgs_;             // log payloads, issue order
   std::vector<std::uint64_t> bcast_seqs_;       // parallel send-order stamps

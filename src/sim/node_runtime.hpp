@@ -2,8 +2,9 @@
 //
 // One NodeRuntime is shared by the three components that touch per-node
 // state on the hot path: the Cluster owns it, the Network maintains the
-// due-mail bits, and the SimDriver maintains the armed / needs-observe
-// bits and streams through the value array in its observe scan. Keeping
+// due-mail bits (and reads the listening bits to scope session traffic),
+// and the SimDriver maintains the armed / needs-observe / listening bits
+// and streams through the value array in its observe scan. Keeping
 // each field in its own flat array — instead of one struct per node —
 // means every scan touches only the bytes it actually uses: the per-tick
 // word-wise scans read two bit arrays (16 bytes per 64 nodes), the
@@ -47,9 +48,10 @@ struct NodeRuntime {
         alive(n),
         needs_observe(n),
         values(n, 0),
-        active(n),
+        listening(n),
         rngs(n) {
     alive.set_all();
+    listening.set_all();
   }
 
   /// Number of nodes every parallel array is sized for.
@@ -82,8 +84,17 @@ struct NodeRuntime {
   std::vector<Value> values;
 
   // -- warm group: touched only inside protocol executions ------------------
-  /// Protocol scratch flag ("active" in the paper's Algorithm 2).
-  IdBitset active;
+  /// Bit id set iff node id is still active in a protocol session (the
+  /// paper's "active" flag of Algorithm 2) and so wants its round
+  /// beacons. Under the SimDriver a node keeps its own bit through
+  /// NodeCtx::set_listening, and the Network reads it to scope session
+  /// broadcasts (CoordCtx::session_broadcast) when it issues one and when
+  /// the node reads its mail. All set by default — the always-safe value
+  /// (the SimDriver resets it so); a node clears it to certify that every
+  /// scoped message issued while the bit stays clear is a no-op for it.
+  /// The lock-step run_extremum_protocol (protocols/extremum.hpp) uses
+  /// the same bits as its participants' active flags.
+  IdBitset listening;
   /// rngs[id] is node id's private coin-flip source (Bernoulli(2^r/N)).
   std::vector<Rng> rngs;
 };

@@ -29,8 +29,10 @@ StreamSet TraceMatrix::to_stream_set(TraceEnd end_behavior) const {
   streams.reserve(n_);
   for (NodeId i = 0; i < n_; ++i) {
     std::vector<Value> column;
-    column.reserve(rows_.size());
-    for (const auto& row : rows_) column.push_back(row[i]);
+    column.reserve(steps_);
+    for (std::size_t t = 0; t < steps_; ++t) {
+      column.push_back(cells_[t * n_ + i]);
+    }
     streams.push_back(
         std::make_unique<TraceStream>(std::move(column), end_behavior));
   }

@@ -42,25 +42,35 @@ class TraceStream final : public Stream {
   std::size_t pos_ = 0;
 };
 
-/// A full n-node trace: row t holds the n observations of step t. Column
-/// slices become per-node TraceStreams via `to_stream_set`.
+/// A full n-node trace: row t holds the n observations of step t, stored
+/// row-major in one flat array. Column slices become per-node
+/// TraceStreams via `to_stream_set`.
 class TraceMatrix {
  public:
   TraceMatrix(std::size_t n, std::size_t steps)
-      : n_(n), rows_(steps, std::vector<Value>(n, 0)) {}
+      : n_(n), steps_(steps), cells_(n * steps, 0) {}
 
   std::size_t nodes() const noexcept { return n_; }
-  std::size_t steps() const noexcept { return rows_.size(); }
+  std::size_t steps() const noexcept { return steps_; }
 
-  Value& at(std::size_t t, NodeId i) { return rows_.at(t).at(i); }
-  Value at(std::size_t t, NodeId i) const { return rows_.at(t).at(i); }
+  /// Cell (t, i); throws std::out_of_range outside steps() x nodes().
+  Value& at(std::size_t t, NodeId i) { return cells_[index(t, i)]; }
+  Value at(std::size_t t, NodeId i) const { return cells_[index(t, i)]; }
 
   /// Builds per-node replay streams over this matrix.
   StreamSet to_stream_set(TraceEnd end_behavior = TraceEnd::kHoldLast) const;
 
  private:
+  std::size_t index(std::size_t t, NodeId i) const {
+    if (t >= steps_ || i >= n_) {
+      throw std::out_of_range("TraceMatrix::at: cell out of range");
+    }
+    return t * n_ + i;
+  }
+
   std::size_t n_;
-  std::vector<std::vector<Value>> rows_;
+  std::size_t steps_;
+  std::vector<Value> cells_;
 };
 
 }  // namespace topkmon

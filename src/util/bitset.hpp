@@ -65,6 +65,10 @@ class IdBitset {
 
   std::span<const std::uint64_t> words() const noexcept { return words_; }
 
+  /// Writable word view for word-parallel updates; the caller keeps the
+  /// bits past the last valid id zero.
+  std::span<std::uint64_t> mutable_words() noexcept { return words_; }
+
   /// Copies another bitset of the same size (capacity retained).
   void copy_from(const IdBitset& other) noexcept {
     words_.assign(other.words_.begin(), other.words_.end());

@@ -48,7 +48,9 @@ void expect_equivalent(GroundTruthTracker& tracker,
   const auto cand = perturbed_candidate(expected_set, values.size(), rng);
   ASSERT_EQ(tracker.is_valid(cand), is_valid_topk(values, cand)) << context;
   const std::vector<NodeId> dup(k, expected_set.front());
-  if (k > 1) ASSERT_FALSE(tracker.is_valid(dup)) << context;
+  if (k > 1) {
+    ASSERT_FALSE(tracker.is_valid(dup)) << context;
+  }
   const std::vector<NodeId> bad = {static_cast<NodeId>(values.size())};
   ASSERT_FALSE(tracker.is_valid(bad)) << context;
 

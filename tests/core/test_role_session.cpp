@@ -36,7 +36,7 @@ class SelectNode final : public NodeAlgo {
     if (candidate_ && !excluded_) {
       sess_.join(ctx, unpack_session_start(c));
     } else {
-      sess_.skip();
+      sess_.skip(ctx);
     }
   }
   void on_timer(NodeCtx& ctx) override { sess_.run_round(ctx, ctx.value()); }

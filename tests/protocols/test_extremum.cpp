@@ -127,19 +127,6 @@ TEST(MaxProtocol, MessageAccountingMatchesNetwork) {
   EXPECT_EQ(c.stats().total(), r.messages());
 }
 
-TEST(MaxProtocol, AnnounceWinnerAddsOneBroadcast) {
-  const std::vector<Value> values{8, 1, 6};
-  ProtocolOptions opts;
-  opts.announce_winner = true;
-  auto c = make_cluster(values, 13);
-  const auto r = run_max_protocol(c, c.all_ids(), values.size(), opts);
-  EXPECT_EQ(r.announces, 1u);
-  const auto log = c.net().broadcast_log();
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.back().kind, MsgKind::kWinnerAnnounce);
-  EXPECT_EQ(log.back().a, 8);
-}
-
 TEST(MaxProtocol, SuppressIdleBroadcastsSendsFewerBeacons) {
   std::vector<Value> values(256);
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -221,7 +208,7 @@ TEST(MaxProtocol, AllNodesInactiveAfterRun) {
   auto c = make_cluster(values, 19);
   (void)run_max_protocol(c, c.all_ids(), values.size());
   for (NodeId i = 0; i < values.size(); ++i) {
-    EXPECT_FALSE(c.runtime().active.test(i));
+    EXPECT_FALSE(c.runtime().listening.test(i));
   }
 }
 

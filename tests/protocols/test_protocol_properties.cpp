@@ -106,20 +106,6 @@ TEST(ProtocolSequencing, ManyAlternatingRunsStayExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Option interplay.
-// ---------------------------------------------------------------------------
-
-TEST(ProtocolOptionsTest, SuppressionPlusAnnounceStillAnnounces) {
-  auto c = make_cluster({5, 10, 15}, 13);
-  ProtocolOptions opts;
-  opts.suppress_idle_broadcasts = true;
-  opts.announce_winner = true;
-  const auto r = run_max_protocol(c, c.all_ids(), 3, opts);
-  EXPECT_EQ(r.announces, 1u);
-  EXPECT_EQ(r.extremum, 15);
-}
-
-// ---------------------------------------------------------------------------
 // Extreme magnitudes: values near the integer limits must survive the
 // beacon/report path unchanged (no midpoints are computed inside the
 // protocol itself).

@@ -1,5 +1,5 @@
 // The bulk instant-broadcast fan-out (node_mail_is_broadcast_only /
-// unread_broadcasts / ack_broadcasts) must be observably identical to
+// deliver_broadcasts) must be observably identical to
 // per-node drain_node calls: same messages in the same order, same
 // pending-delivery accounting, same due bits — including around log
 // compaction with straggler nodes that have not drained for thousands of
@@ -22,15 +22,17 @@ Message msg(MsgKind kind, std::int64_t a) {
   return m;
 }
 
+/// Bulk-reads node `id`'s unread broadcast suffix (committing it).
+std::vector<Message> bulk_read(Network& net, NodeId id) {
+  std::vector<Message> out;
+  net.deliver_broadcasts(id, [&](const Message& m) { out.push_back(m); });
+  return out;
+}
+
 /// Drains node `id` the way the SimDriver's phase-1 fast path does: the
 /// in-place log suffix when the node is clean, drain_node otherwise.
 std::vector<Message> bulk_or_drain(Network& net, NodeId id) {
-  if (net.node_mail_is_broadcast_only(id)) {
-    const auto suffix = net.unread_broadcasts(id);
-    std::vector<Message> out(suffix.begin(), suffix.end());
-    net.ack_broadcasts(id);
-    return out;
-  }
+  if (net.node_mail_is_broadcast_only(id)) return bulk_read(net, id);
   return net.drain_node(id);
 }
 
@@ -85,19 +87,20 @@ TEST(BulkBroadcast, AckSettlesAccountingAndDueBits) {
   EXPECT_EQ(net.pending_deliveries(), 6u);  // 2 broadcasts x 3 nodes
 
   ASSERT_TRUE(net.node_mail_is_broadcast_only(0));
-  EXPECT_EQ(net.unread_broadcasts(0).size(), 2u);
-  net.ack_broadcasts(0);
+  EXPECT_EQ(bulk_read(net, 0).size(), 2u);
   EXPECT_EQ(net.pending_deliveries(), 4u);
   EXPECT_FALSE(net.node_has_mail(0));
-  EXPECT_TRUE(net.unread_broadcasts(0).empty());
-  // An ack is idempotent for accounting: nothing unread, nothing to undo.
-  net.ack_broadcasts(0);
+  // A second read is idempotent for accounting: nothing unread, nothing
+  // delivered, nothing to undo.
+  EXPECT_TRUE(bulk_read(net, 0).empty());
   EXPECT_EQ(net.pending_deliveries(), 4u);
 
   // The other nodes' suffixes are untouched.
-  EXPECT_EQ(net.unread_broadcasts(1).size(), 2u);
-  EXPECT_EQ(net.unread_broadcasts(1)[0].a, 1);
-  EXPECT_EQ(net.unread_broadcasts(1)[1].a, 2);
+  const auto rest = bulk_read(net, 1);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].a, 1);
+  EXPECT_EQ(rest[1].a, 2);
+  EXPECT_EQ(net.pending_deliveries(), 2u);
 }
 
 TEST(BulkBroadcast, StragglerJoiningMidCompaction) {
@@ -115,13 +118,12 @@ TEST(BulkBroadcast, StragglerJoiningMidCompaction) {
     // Nodes 0 and 1 keep up via the bulk path; the post-pass compaction
     // runs every round exactly like a driver tick would run it.
     for (NodeId id = 0; id < 2; ++id) {
-      const auto suffix = net.unread_broadcasts(id);
+      const auto suffix = bulk_read(net, id);
       if (id == 0) {
         ASSERT_EQ(suffix.size(), 1u);
         EXPECT_EQ(suffix[0].a, static_cast<std::int64_t>(i));
         ++read_by_0;
       }
-      net.ack_broadcasts(id);
     }
     net.compact_broadcast_log();
   }
@@ -131,12 +133,11 @@ TEST(BulkBroadcast, StragglerJoiningMidCompaction) {
   // and its suffix replays the full history in issue order.
   EXPECT_EQ(net.broadcast_log_size(), kBroadcasts);
   ASSERT_TRUE(net.node_mail_is_broadcast_only(2));
-  const auto suffix = net.unread_broadcasts(2);
+  const auto suffix = bulk_read(net, 2);
   ASSERT_EQ(suffix.size(), kBroadcasts);
   for (std::size_t i = 0; i < kBroadcasts; ++i) {
     ASSERT_EQ(suffix[i].a, static_cast<std::int64_t>(i)) << "at " << i;
   }
-  net.ack_broadcasts(2);
   EXPECT_EQ(net.pending_deliveries(), 0u);
 
   // With every cursor at the end the deferred compaction reclaims the
@@ -147,10 +148,9 @@ TEST(BulkBroadcast, StragglerJoiningMidCompaction) {
   EXPECT_TRUE(net.broadcast_log().empty());
   net.coord_broadcast(msg(MsgKind::kWinnerAnnounce, 77));
   for (NodeId id = 0; id < 3; ++id) {
-    const auto s = net.unread_broadcasts(id);
+    const auto s = bulk_read(net, id);
     ASSERT_EQ(s.size(), 1u);
     EXPECT_EQ(s[0].a, 77);
-    net.ack_broadcasts(id);
   }
 }
 
@@ -169,15 +169,15 @@ TEST(BulkBroadcast, ScheduledPoliciesNeverQualify) {
 }
 
 TEST(BulkBroadcast, SharedRuntimeDueMailFollowsBulkAcks) {
-  // When the network is built over a NodeRuntime, acks clear the shared
-  // due-mail bits the SimDriver scans.
+  // When the network is built over a NodeRuntime, bulk reads clear the
+  // shared due-mail bits the SimDriver scans.
   NodeRuntime rt(2);
   CommStats stats;
   Network net(2, &stats, NetworkSpec{}, 0, &rt);
   net.coord_broadcast(msg(MsgKind::kRoundBeacon, 9));
   EXPECT_TRUE(rt.due_mail.test(0));
   EXPECT_TRUE(rt.due_mail.test(1));
-  net.ack_broadcasts(0);
+  bulk_read(net, 0);
   EXPECT_FALSE(rt.due_mail.test(0));
   EXPECT_TRUE(rt.due_mail.test(1));
 }
