@@ -87,24 +87,14 @@ bool SimDriver::anything_scheduled() const noexcept {
 }
 
 void SimDriver::set_fault_plan(const FaultPlan* plan) {
-  set_fault_plan(plan, 0);
-}
-
-void SimDriver::set_fault_plan(const FaultPlan* plan, std::size_t cursor) {
   if (plan != nullptr && plan->total_nodes() != cluster_.size()) {
     throw std::invalid_argument(
         "SimDriver::set_fault_plan: plan provisions " +
         std::to_string(plan->total_nodes()) + " nodes but the cluster has " +
         std::to_string(cluster_.size()));
   }
-  if (plan != nullptr && cursor > plan->events().size()) {
-    throw std::invalid_argument(
-        "SimDriver::set_fault_plan: cursor " + std::to_string(cursor) +
-        " exceeds the plan's " + std::to_string(plan->events().size()) +
-        " events");
-  }
   faults_ = plan;
-  fault_cursor_ = plan != nullptr ? cursor : 0;
+  fault_cursor_ = 0;
   frozen_armed_ = IdBitset(cluster_.size());
   held_.clear();
   if (plan != nullptr && plan->has_degradation()) {
@@ -614,5 +604,7 @@ void SimDriver::step(TimeStep t, std::span<const NodeId> changed) {
 }
 
 void SimDriver::pump() { settle(/*respect_budget=*/true); }
+
+void SimDriver::quiesce() { settle(/*respect_budget=*/false); }
 
 }  // namespace topkmon

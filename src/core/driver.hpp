@@ -125,6 +125,12 @@ class SimDriver {
   /// Threading: owner thread only, like step().
   void pump();
 
+  /// Like pump(), but settles to quiescence regardless of the tick
+  /// budget, as initialize() does. The sharded runtime uses it for the
+  /// extremum sessions of a requery or quota move, whose exact result the
+  /// root merges before the next step. Owner thread only.
+  void quiesce();
+
   /// Forces the legacy dense per-tick scan and dense observe loop
   /// (diagnostics / sparse-vs-dense benchmarking; output-identical).
   void set_dense_loop(bool dense) noexcept { dense_ = dense; }
@@ -141,18 +147,6 @@ class SimDriver {
   /// Throws std::invalid_argument if the plan's node provisioning does
   /// not match the cluster size.
   void set_fault_plan(const FaultPlan* plan);
-
-  /// Like set_fault_plan(plan), but resumes the schedule at event index
-  /// `cursor` instead of 0. The sharded runtime uses it when it rebuilds
-  /// a shard deployment mid-run (a fresh driver on the warm cluster must
-  /// not re-fire events the retired driver already applied). Throws
-  /// std::invalid_argument when `cursor` exceeds the plan's event count.
-  void set_fault_plan(const FaultPlan* plan, std::size_t cursor);
-
-  /// Index of the next unapplied fault event (== events().size() once
-  /// the schedule is exhausted). Pairs with the cursor-resuming
-  /// set_fault_plan overload across driver rebuilds.
-  std::size_t fault_cursor() const noexcept { return fault_cursor_; }
 
   /// Ticks consumed so far (diagnostics; grows monotonically).
   SimTime now() const noexcept { return cluster_.net().now(); }

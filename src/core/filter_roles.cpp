@@ -88,13 +88,14 @@ void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
       break;
     }
     case MsgKind::kFilterAssign: {
-      // Re-sync completion: an explicit per-node (membership, boundary)
-      // assignment — unlike kFilterUpdate it overrides the local
-      // membership belief, which may be stale after an outage. Delivered
-      // as a unicast, it re-anchors only this node; everyone else's
-      // filter is untouched. A violating value primes pending_, so the
-      // kStartSession control the coordinator convenes for it (delivered
-      // the same tick, after this message) finds the node ready to join.
+      // Re-sync completion or a shard quota move: an explicit per-node
+      // (membership, boundary) assignment — unlike kFilterUpdate it
+      // overrides the local membership belief, which may be stale after
+      // an outage. Delivered as a unicast, it re-anchors only this node;
+      // everyone else's filter is untouched. A violating value primes
+      // pending_, so the kStartSession control the coordinator convenes
+      // for it (delivered the same tick, after this message) finds the
+      // node ready to join.
       member_ = m.a != 0;
       filter_ = boundary_filter(m.b, member_);
       selecting_ = false;
@@ -116,6 +117,10 @@ void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
 void FilterNode::on_control(NodeCtx& ctx, const Control& c) {
   switch (static_cast<FilterControlOp>(c.op)) {
     case FilterControlOp::kStartSelection: {
+      // The selection runs at the coordinator's current k: a node that
+      // kept the k it was built with would misjudge its membership after
+      // every dynamic-k change or shard quota move.
+      k_ = static_cast<std::size_t>(c.a);
       selecting_ = true;
       excluded_ = false;
       announces_seen_ = 0;
@@ -221,6 +226,8 @@ void FilterCoordinator::on_init(CoordCtx& ctx) {
 }
 
 void FilterCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
+  // Values may move from here on without the coordinator hearing of it.
+  extrema_exact_ = false;
   if (degenerate_) return;
   cur_step_ = t;
   const auto& signals = ctx.signals();
@@ -323,19 +330,18 @@ void FilterCoordinator::on_timer(CoordCtx& ctx) {
   tick_resyncs(ctx);
   if (opts_.suspect && !suspects_.empty()) tick_suspects(ctx);
   if (!sess_.active) {
-    // Inter-iteration gap of a FILTERRESET selection: the previous
-    // iteration's winner announcement is in flight; convening the next
-    // iteration before it lands would let the winner re-join. Zero ticks
-    // under instant delivery.
-    if (pending_select_) {
+    // Inter-session gap: the previous selection iteration's winner
+    // announcement (or a quota move's assignment) is in flight; convening
+    // the next session before it lands would let its node join on a stale
+    // role. Zero ticks under instant delivery.
+    if (pending_next_) {
       if (select_gap_ > 0) {
         --select_gap_;
         ctx.arm_timer();
         return;
       }
-      pending_select_ = false;
-      start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest, n_,
-                    /*announce=*/true);
+      pending_next_ = false;
+      start_next_session(ctx);
     }
     return;
   }
@@ -377,8 +383,11 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
   if (announce_at_end_) sess_.announce(ctx);
   if (!sess_.have_best) {
     // Only possible under message loss: every report of the session was
-    // dropped. Abandon the cycle; the next violation restarts repair.
+    // dropped. Abandon the cycle; the next violation restarts repair. A
+    // refresh owes its shard exact extrema now, so it re-selects instead.
+    const bool refresh = phase_ == Phase::kRefresh;
     abort_cycle();
+    if (refresh) begin_reset(ctx);
     return;
   }
 
@@ -424,16 +433,18 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
       if (sel_winners_.size() < selection_target()) {
         const std::uint64_t gap = ctx.flush_ticks();
         if (gap == 0) {
-          start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest,
-                        n_, /*announce=*/true);
+          start_next_session(ctx);
         } else {
-          pending_select_ = true;
+          pending_next_ = true;
           select_gap_ = gap;
           ctx.arm_timer();
         }
       } else {
         finish_reset(ctx);
       }
+      break;
+    case Phase::kRefresh:
+      conclude_refresh(ctx);
       break;
     case Phase::kIdle:
       break;  // unreachable
@@ -499,11 +510,41 @@ void FilterCoordinator::begin_reset(CoordCtx& ctx) {
   ++mstats_.filter_resets;
   phase_ = Phase::kReset;
   sel_winners_.clear();
+  extrema_exact_ = false;
   Control sel;
   sel.op = static_cast<std::int64_t>(FilterControlOp::kStartSelection);
+  sel.a = static_cast<std::int64_t>(k_);
   ctx.control_broadcast(sel);
-  start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest, n_,
-                /*announce=*/true);
+  if (opts_.pinned_boundary != nullptr && selection_target() == 0) {
+    // A shard with no live node: nothing to select, and the empty answer
+    // is exact (T+ = +inf, T- = -inf) — a session nobody joins would
+    // leave stale extrema behind for the root to merge.
+    finish_reset(ctx);
+    return;
+  }
+  start_next_session(ctx);
+}
+
+void FilterCoordinator::start_next_session(CoordCtx& ctx) {
+  if (phase_ == Phase::kReset) {
+    start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest, n_,
+                  /*announce=*/true);
+  } else if (refresh_min_) {
+    start_session(ctx, Direction::kMin, FilterSessionGroup::kAllTop, k_,
+                  /*announce=*/false);
+  } else if (refresh_max_) {
+    start_session(ctx, Direction::kMax, FilterSessionGroup::kAllBot, n_ - k_,
+                  /*announce=*/false);
+  } else {
+    // Both sides known: the extrema are exact unless a lost assignment
+    // left the membership inverted, which only a fresh selection repairs.
+    if (tplus_ < tminus_) {
+      begin_reset(ctx);
+      return;
+    }
+    extrema_exact_ = true;
+    cycle_done(ctx);
+  }
 }
 
 void FilterCoordinator::finish_reset(CoordCtx& ctx) {
@@ -525,6 +566,9 @@ void FilterCoordinator::finish_reset(CoordCtx& ctx) {
   // k+1 <= n winners).
   tplus_ = members > 0 ? sel_winners_[members - 1].value : kPlusInf;
   tminus_ = k_ < sel_winners_.size() ? sel_winners_[k_].value : kMinusInf;
+  tplus_id_ = members > 0 ? sel_winners_[members - 1].id : kNoHolder;
+  tminus_id_ = k_ < sel_winners_.size() ? sel_winners_[k_].id : kNoHolder;
+  extrema_exact_ = true;
   // Lines 40-41.
   apply_boundary(ctx, choose_boundary());
   cycle_done(ctx);
@@ -551,7 +595,7 @@ void FilterCoordinator::reanchor(CoordCtx& ctx) {
     return;
   }
   const Value r = **opts_.pinned_boundary;
-  if (mid_ == r) return;
+  if (mid_ == r && !anchor_dirty_) return;
   if (topk_ids_.size() == k_ && tminus_ <= r && r <= tplus_) {
     // The new root boundary lies inside the accumulated gap: re-anchor the
     // node filters on it without touching membership.
@@ -566,8 +610,114 @@ void FilterCoordinator::reanchor(CoordCtx& ctx) {
   }
 }
 
+void FilterCoordinator::requery(CoordCtx& ctx) {
+  if (phase_ != Phase::kIdle || sess_.active || topk_ids_.size() != k_) {
+    abort_cycle();
+    begin_reset(ctx);
+    return;
+  }
+  begin_refresh(ctx, /*min_side=*/true, /*max_side=*/true, /*gap=*/false);
+}
+
+void FilterCoordinator::set_quota(CoordCtx& ctx, std::size_t q) {
+  if (q > n_) {
+    throw std::invalid_argument("FilterCoordinator::set_quota: q > n");
+  }
+  if (q == k_) return;
+  const bool gain = q == k_ + 1;
+  const bool in_place =
+      extrema_exact_ && phase_ == Phase::kIdle && !sess_.active &&
+      topk_ids_.size() == k_ &&
+      (gain ? tminus_id_ != kNoHolder : q + 1 == k_ && tplus_id_ != kNoHolder);
+  k_ = q;
+  backoff_wait_ = 0;
+  backoff_attempt_ = 0;
+  if (!in_place) {
+    abort_cycle();
+    begin_reset(ctx);
+    return;
+  }
+  // The moved node swaps sides; the extremum it held becomes the new
+  // extremum of its new side, and only the side it left needs a session.
+  // Its assignment anchors it on its own value, which its new filter
+  // contains, until the root's re-anchor broadcast (set_pin) lands.
+  const NodeId moved = gain ? tminus_id_ : tplus_id_;
+  Message assign;
+  assign.kind = MsgKind::kFilterAssign;
+  assign.a = gain ? 1 : 0;
+  if (gain) {
+    in_topk_[moved] = 1;
+    topk_ids_.insert(
+        std::lower_bound(topk_ids_.begin(), topk_ids_.end(), moved), moved);
+    tplus_ = tminus_;
+    tplus_id_ = moved;
+    assign.b = tplus_;
+  } else {
+    in_topk_[moved] = 0;
+    topk_ids_.erase(
+        std::lower_bound(topk_ids_.begin(), topk_ids_.end(), moved));
+    tminus_ = tplus_;
+    tminus_id_ = moved;
+    assign.b = tminus_;
+  }
+  ctx.unicast(moved, assign);
+  anchor_dirty_ = true;
+  begin_refresh(ctx, /*min_side=*/!gain, /*max_side=*/gain, /*gap=*/true);
+}
+
+void FilterCoordinator::begin_refresh(CoordCtx& ctx, bool min_side,
+                                      bool max_side, bool gap) {
+  phase_ = Phase::kRefresh;
+  extrema_exact_ = false;
+  // An empty side has the identity of its extremum and needs no session
+  // (members are always live: a crash removes them from the answer).
+  const std::size_t outsiders =
+      n_live_ - std::min(n_live_, topk_ids_.size() + n_quarantined_);
+  refresh_min_ = min_side && !topk_ids_.empty();
+  refresh_max_ = max_side && outsiders > 0;
+  if (min_side && !refresh_min_) {
+    tplus_ = kPlusInf;
+    tplus_id_ = kNoHolder;
+  }
+  if (max_side && !refresh_max_) {
+    tminus_ = kMinusInf;
+    tminus_id_ = kNoHolder;
+  }
+  const std::uint64_t flush = gap ? ctx.flush_ticks() : 0;
+  if (flush == 0 || !(refresh_min_ || refresh_max_)) {
+    start_next_session(ctx);
+    return;
+  }
+  pending_next_ = true;
+  select_gap_ = flush;
+  ctx.arm_timer();
+}
+
+void FilterCoordinator::conclude_refresh(CoordCtx& ctx) {
+  const bool min_side = sess_.dir == Direction::kMin;
+  if ((in_topk_[sess_.best_holder] != 0) != min_side) {
+    // The winner answered for the wrong side — a moved node whose
+    // assignment was lost, or a recovering node not yet re-synced — so
+    // the nodes' roles differ from the coordinator's membership.
+    abort_cycle();
+    begin_reset(ctx);
+    return;
+  }
+  if (min_side) {
+    tplus_ = sess_.best_value;
+    tplus_id_ = sess_.best_holder;
+    refresh_min_ = false;
+  } else {
+    tminus_ = sess_.best_value;
+    tminus_id_ = sess_.best_holder;
+    refresh_max_ = false;
+  }
+  start_next_session(ctx);
+}
+
 void FilterCoordinator::apply_boundary(CoordCtx& ctx, Value m) {
   mid_ = m;
+  anchor_dirty_ = false;
   Message update;
   update.kind = MsgKind::kFilterUpdate;
   update.a = m;
@@ -587,7 +737,7 @@ void FilterCoordinator::cycle_done(CoordCtx& ctx) {
 void FilterCoordinator::abort_cycle() {
   phase_ = Phase::kIdle;
   sess_.active = false;
-  pending_select_ = false;
+  pending_next_ = false;
   select_gap_ = 0;
   min_v_.reset();
   max_v_.reset();

@@ -46,8 +46,8 @@ enum class FilterControlOp : std::int64_t {
   /// (FilterSessionGroup), c = (epoch << 8) | log_n.
   kStartSession = 1,
   /// A FILTERRESET selection begins: clear membership/exclusion state.
-  /// No payload — each node derives membership from the announce order
-  /// and its deployed k.
+  /// a = the coordinator's current k; each node adopts it and derives its
+  /// membership from the announce order (the first k winners are members).
   kStartSelection = 2,
 };
 
@@ -88,8 +88,8 @@ class FilterNode final : public NodeAlgo {
     return member ? Filter{m - half_, kPlusInf} : Filter{kMinusInf, m + half_};
   }
 
-  std::size_t k_;
-  Value half_;  ///< ε/2 (0 in the exact deployment)
+  std::size_t k_;  ///< deployed k, re-learned from every kStartSelection
+  Value half_;     ///< ε/2 (0 in the exact deployment)
 
   // Persistent node state (what a deployed node stores).
   Filter filter_{};       ///< [-inf, +inf] until the first boundary arrives
@@ -213,14 +213,36 @@ class FilterCoordinator final : public CoordinatorAlgo {
   /// else is torn down.
   void on_set_k(CoordCtx& ctx, std::size_t k) override;
 
-  /// Sharded-deployment hook: re-anchors the node filters on the current
-  /// pinned boundary (Options::pinned_boundary) when it moved since the
-  /// last cycle. Adopts the pin in place (one kFilterUpdate broadcast)
-  /// when the accumulated gap contains it; otherwise falls back to a full
-  /// FILTERRESET. No-op while a cycle is in flight, when unpinned, or when
-  /// the boundary already equals the pin. The caller must pump the driver
-  /// afterwards to flush the injected traffic.
+  // -- sharded-deployment hooks (Options::pinned_boundary) ------------------
+  // The shard tier drives these between observation steps and settles the
+  // driver afterwards to flush the injected traffic. T+ and T- are exact
+  // (extrema_exact()) right after a FILTERRESET, a requery or a quota
+  // move, until the next observation step begins.
+
+  /// Re-anchors the node filters on the current pinned boundary when it
+  /// moved since the last cycle, or when a quota move left a node on a
+  /// private boundary. Adopts the pin in place (one kFilterUpdate
+  /// broadcast) when the accumulated gap contains it; otherwise falls
+  /// back to a full FILTERRESET. No-op while a cycle is in flight or when
+  /// unpinned.
   void reanchor(CoordCtx& ctx);
+
+  /// Exact extrema refresh without touching membership: one MIN session
+  /// over the members finds T+, one MAX session over the outsiders finds
+  /// T- (an empty side needs no session). Falls back to a FILTERRESET
+  /// when the answer is not established or a session ends unanswered.
+  void requery(CoordCtx& ctx);
+
+  /// Moves the quota to `q` in place. With exact extrema, one unit of
+  /// gain promotes the T- holder (kFilterAssign) and one MAX session over
+  /// the outsiders finds the new T-; one unit of loss demotes the T+
+  /// holder and one MIN session over the members finds the new T+. Any
+  /// other case falls back to a FILTERRESET at `q` (the nodes learn the
+  /// new k from its selection control). Requires q <= n.
+  void set_quota(CoordCtx& ctx, std::size_t q);
+
+  std::size_t k() const noexcept { return k_; }
+  bool extrema_exact() const noexcept { return extrema_exact_; }
 
   // -- introspection for tests ---------------------------------------------
   Value boundary() const noexcept { return mid_; }
@@ -235,6 +257,7 @@ class FilterCoordinator final : public CoordinatorAlgo {
     kViolMax,   ///< MAXIMUMPROTOCOL(n-k) over bottom-side violators
     kFullSide,  ///< handler's run over the whole missing side
     kReset,     ///< FILTERRESET: k+1 repeated selections
+    kRefresh,   ///< sharded requery / quota move: one session per side
   };
 
   void start_cycle(CoordCtx& ctx);
@@ -245,6 +268,16 @@ class FilterCoordinator final : public CoordinatorAlgo {
   void decide(CoordCtx& ctx);
   void begin_reset(CoordCtx& ctx);
   void finish_reset(CoordCtx& ctx);
+  /// Convenes the next session of the running phase — the next selection
+  /// iteration (kReset) or the next side a refresh still owes (kRefresh)
+  /// — or, once a refresh owes no side, concludes it.
+  void start_next_session(CoordCtx& ctx);
+  /// Starts a kRefresh phase over the requested sides. `gap` delays the
+  /// first session by the network's flush window, so a kFilterAssign
+  /// sent just before lands ahead of the session control.
+  void begin_refresh(CoordCtx& ctx, bool min_side, bool max_side, bool gap);
+  /// A concluded refresh session: record the side's extremum and holder.
+  void conclude_refresh(CoordCtx& ctx);
   void apply_boundary(CoordCtx& ctx, Value m);
   void cycle_done(CoordCtx& ctx);
   void abort_cycle();
@@ -330,8 +363,17 @@ class FilterCoordinator final : public CoordinatorAlgo {
     Value value;
   };
   std::vector<Winner> sel_winners_;
-  bool pending_select_ = false;   ///< next iteration waits for announce lag
-  std::uint64_t select_gap_ = 0;  ///< remaining inter-iteration gap ticks
+  bool pending_next_ = false;     ///< next session waits out the gap below
+  std::uint64_t select_gap_ = 0;  ///< remaining inter-session gap ticks
+
+  // Sharded extremum tracking: the holders of T+ (weakest member) and T-
+  // (strongest outsider), valid while extrema_exact_.
+  NodeId tplus_id_ = kNoHolder;
+  NodeId tminus_id_ = kNoHolder;
+  bool extrema_exact_ = false;
+  bool refresh_min_ = false;  ///< refresh still owes the members' MIN
+  bool refresh_max_ = false;  ///< refresh still owes the outsiders' MAX
+  bool anchor_dirty_ = false;  ///< a moved node holds a private boundary
 
   // Pending crash-recovery re-syncs, in recovery order.
   struct Resync {

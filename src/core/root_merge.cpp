@@ -234,14 +234,17 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
 
   // Carve the deployment-level plan into per-shard plans with shard-local
   // ids. Membership events route to the owning shard (a join block can
-  // straddle shard boundaries and is split at them); kSetK stays at the
-  // deployment level (the scenario routes it through set_k). shard_plans_
-  // is filled completely before any adapter takes a pointer into it.
+  // straddle shard boundaries and is split at them). kSetK goes to the
+  // single shard at c == 1, whose driver then rekeys at the monolithic
+  // point of the step; at c > 1 it stays at the deployment level (the
+  // caller routes it through set_k). shard_plans_ is filled completely
+  // before any adapter takes a pointer into it.
   if (spec.faults != nullptr) {
     std::vector<std::vector<FaultEvent>> by_shard(c);
     for (const FaultEvent& ev : spec.faults->events()) {
       switch (ev.kind) {
         case FaultEvent::Kind::kSetK:
+          if (c == 1) by_shard[0].push_back(ev);
           break;
         case FaultEvent::Kind::kJoin: {
           NodeId id = ev.node;
@@ -392,9 +395,8 @@ void ShardedDeployment::set_k(std::size_t k) {
   }
   spec_.k = k;
   if (adapters_.size() == 1) {
-    // Inert root tier: re-key the single shard directly (the naive shard
-    // rekeys its replica in place; the filter shard rebuilds on its warm
-    // cluster), exactly the monolithic on_set_k semantics.
+    // Inert root tier: re-key the single shard directly, exactly the
+    // monolithic on_set_k semantics (both shard kinds rekey in place).
     adapters_[0]->set_quota(k);
     return;
   }

@@ -190,10 +190,11 @@ struct ShardedSpec {
   /// Deployment-level fault schedule (global ids; nullptr = fault-free;
   /// must outlive the deployment). Membership churn is carved into
   /// per-shard plans with shard-local ids and fired by the shard drivers;
-  /// quotas split over the initially-live prefix only; kSetK events stay
-  /// with the caller (route them through set_k). Degradations (lag/
-  /// stale/mute) are not supported sharded — the scenario runner rejects
-  /// such plans before construction.
+  /// quotas split over the initially-live prefix only. kSetK events fire
+  /// in the single shard's driver at c == 1 (the monolithic schedule);
+  /// at c > 1 they stay with the caller (route them through set_k).
+  /// Degradations (lag/stale/mute) are not supported sharded — the
+  /// scenario runner rejects such plans before construction.
   const FaultPlan* faults = nullptr;
 };
 
@@ -232,7 +233,9 @@ class ShardedDeployment {
   /// applied warm: at c == 1 the single shard's quota is re-keyed
   /// directly; at c > 1 the root renegotiates shard quotas to the new
   /// total at the next step (RootMergeCoordinator::request_k). Call
-  /// between steps, before the step the new k takes effect at.
+  /// between steps, before the step the new k takes effect at. A kSetK
+  /// event of spec.faults at c == 1 is applied by the shard driver and
+  /// must not be repeated here.
   void set_k(std::size_t k);
 
   const std::vector<NodeId>& topk() const { return root_coord_->topk(); }
@@ -240,11 +243,9 @@ class ShardedDeployment {
   const RootMergeCoordinator& root() const { return *root_coord_; }
   Cluster& shard_cluster(std::size_t s) { return adapters_.at(s)->cluster(); }
 
-  /// Max inner-driver delivery ticks across the shards. Monotonic across
-  /// filter-shard rebuilds (each shard's clock lives on its warm
-  /// cluster), so the sharded scenario runner can key recovery-window
-  /// accounting on it exactly like the monolithic runner keys on
-  /// SimDriver::now().
+  /// Max inner-driver delivery ticks across the shards (monotonic), so the
+  /// sharded scenario runner can key recovery-window accounting on it
+  /// exactly like the monolithic runner keys on SimDriver::now().
   SimTime ticks() const;
 
   /// node<->shard tier message totals: the per-shard cluster counters
@@ -253,8 +254,8 @@ class ShardedDeployment {
   CommStats node_shard_comm();
   /// shard<->root tier message totals (zero at c == 1 by construction).
   const CommStats& shard_root_comm() const { return root_cluster_->stats(); }
-  /// Algorithm counters: shard coordinators' (retired + live) plus the
-  /// root's, summed field-wise.
+  /// Algorithm counters: the shard coordinators' plus the root's, summed
+  /// field-wise.
   MonitorStats monitor_totals() const;
 
  private:

@@ -144,43 +144,23 @@ ShardExtrema NaiveShardAdapter::set_quota(std::size_t q) {
 
 FilterShardAdapter::FilterShardAdapter(const ShardConfig& cfg,
                                        bool suppress_idle_broadcasts)
-    : cfg_(cfg),
-      nobeacon_(suppress_idle_broadcasts),
-      quota_(cfg.quota),
-      cluster_(cfg.n, cfg.seed, cfg.network) {
+    : cfg_(cfg), cluster_(cfg.n, cfg.seed, cfg.network) {
   mark_join_reserve_down(cfg_, cluster_);
-}
-
-void FilterShardAdapter::rebuild() {
-  if (coord_) add_monitor_stats(mstats_retired_, coord_->monitor_stats());
-  // The fresh driver must resume the fault schedule where the retired one
-  // left it — re-firing an applied crash/recover would corrupt the alive
-  // set (which itself persists on the warm cluster's network).
-  const std::size_t fault_cursor = driver_ ? driver_->fault_cursor() : 0;
-  driver_.reset();
-  coord_.reset();
-  nodes_.clear();
-
   FilterCoordinator::Options o;
-  o.suppress_idle_broadcasts = nobeacon_;
+  o.suppress_idle_broadcasts = suppress_idle_broadcasts;
   if (cfg_.sharded) o.pinned_boundary = &pin_;
-  coord_ = std::make_unique<FilterCoordinator>(quota_, o);
+  coord_ = std::make_unique<FilterCoordinator>(cfg_.quota, o);
   nodes_.reserve(cfg_.n);
   for (std::size_t i = 0; i < cfg_.n; ++i) {
-    nodes_.push_back(std::make_unique<FilterNode>(quota_));
+    nodes_.push_back(std::make_unique<FilterNode>(cfg_.quota));
   }
   driver_ = std::make_unique<SimDriver>(cluster_, *coord_, nodes_,
-                                        /*auto_deliver=*/true, cfg_.workers);
-  if (cfg_.faults != nullptr) driver_->set_fault_plan(cfg_.faults, fault_cursor);
+                                        /*native=*/true, cfg_.workers);
+  if (cfg_.faults != nullptr) driver_->set_fault_plan(cfg_.faults);
   driver_->set_dense_loop(cfg_.dense_loop);
-  // Full initialization on the warm cluster: values, RNG streams, the
-  // protocol-epoch counter, CommStats and the alive set persist;
-  // node/coordinator protocol state starts fresh, so the FILTERRESET
-  // selection (over the live nodes only) leaves exact extrema in T+/T-.
-  driver_->initialize();
 }
 
-void FilterShardAdapter::initialize() { rebuild(); }
+void FilterShardAdapter::initialize() { driver_->initialize(); }
 
 void FilterShardAdapter::step(TimeStep t, std::span<const NodeId> changed) {
   driver_->step(t, changed);
@@ -197,7 +177,7 @@ bool FilterShardAdapter::crossing() {
   // reset could re-fill — up to a whole-shard outage) is a crossing by
   // definition: only a root renegotiation can drain the unfillable quota
   // toward shards that can cover the vacated slots.
-  if (coord_->topk().size() < quota_) return true;
+  if (coord_->topk().size() < quota()) return true;
   return coord_->boundary() != *pin_;
 }
 
@@ -208,26 +188,38 @@ ShardExtrema FilterShardAdapter::extrema() {
   // if the shard cannot even fill its quota it has no live outsider, and
   // a stale accumulator value must not win it more quota or pin the root
   // boundary from below during the outage.
-  if (coord_->topk().size() < quota_) {
+  if (coord_->topk().size() < quota()) {
     return ShardExtrema{kMinusInf, kMinusInf};
   }
   return ShardExtrema{coord_->t_plus(), coord_->t_minus()};
 }
 
-ShardExtrema FilterShardAdapter::requery() {
-  // The accumulators are stale between resets; quota decisions need exact
-  // extrema, so requery = rebuild (charged to the node<->shard tier).
-  rebuild();
+ShardExtrema FilterShardAdapter::exact_extrema() {
+  if (!coord_->extrema_exact()) {
+    return ShardExtrema{quota() > 0 ? kMinusInf : kPlusInf, kMinusInf};
+  }
   return extrema();
+}
+
+ShardExtrema FilterShardAdapter::requery() {
+  CoordCtx ctx(*driver_, cluster_);
+  coord_->requery(ctx);
+  driver_->quiesce();
+  return exact_extrema();
 }
 
 ShardExtrema FilterShardAdapter::set_quota(std::size_t q) {
   if (q > cfg_.n) {
     throw std::invalid_argument("FilterShardAdapter::set_quota: q > size");
   }
-  quota_ = q;
-  rebuild();
-  return extrema();
+  CoordCtx ctx(*driver_, cluster_);
+  if (cfg_.sharded) {
+    coord_->set_quota(ctx, q);
+  } else {
+    coord_->on_set_k(ctx, q);  // c == 1: exactly the monolithic rekey
+  }
+  driver_->quiesce();
+  return exact_extrema();
 }
 
 void FilterShardAdapter::set_pin(Value r) {

@@ -23,12 +23,15 @@
 //                         replica already holds every node's last report,
 //                         so quota changes and extrema queries are
 //                         coordinator-local (no node traffic);
-//  * FilterShardAdapter   Algorithm 1 shard. Extrema are exact only right
-//                         after a FILTERRESET (the T+/T- accumulators go
-//                         stale between resets), so refreshes and quota
-//                         changes rebuild the shard deployment on its warm
-//                         cluster — the reset's k+1 selections produce
-//                         exact extrema and charge the node<->shard tier.
+//  * FilterShardAdapter   Algorithm 1 shard, built once. Extrema are exact
+//                         only right after a FILTERRESET, a requery or a
+//                         quota move (the T+/T- accumulators go stale
+//                         between them). A requery runs one extremum
+//                         session per side; a one-unit quota move swaps
+//                         the T+ or T- holder across the boundary and runs
+//                         one session for the side it left — instead of
+//                         the k+1 selections of a FILTERRESET. All of it
+//                         is charged to the node<->shard tier.
 //
 // Exactness invariant (instant delivery): every shard keeps its filters
 // anchored on one shared root boundary R with L_s <= R <= U_s. Then every
@@ -115,9 +118,7 @@ struct ShardConfig {
   /// must be message-for-message identical to the monolithic path.
   bool sharded = true;
   /// Shard-local fault schedule (nullptr = fault-free). Must outlive the
-  /// adapter. The filter shard re-attaches it across rebuilds with the
-  /// retired driver's cursor preserved, so events the old driver already
-  /// fired never replay on the fresh one.
+  /// adapter.
   const FaultPlan* faults = nullptr;
   /// Trailing shard-local ids provisioned for a later join event: ids
   /// [n - join_reserve, n) start down (transport off, on_init deferred)
@@ -150,12 +151,13 @@ class ShardAdapter {
   /// never used for quota decisions).
   virtual ShardExtrema extrema() = 0;
 
-  /// Exact extrema refresh. The filter shard rebuilds (full FILTERRESET
-  /// on the warm cluster, charged to the node<->shard tier); the naive
-  /// shard's replica is already current.
+  /// Exact extrema refresh. The filter shard runs one extremum session
+  /// per side (charged to the node<->shard tier); the naive shard's
+  /// replica is already current.
   virtual ShardExtrema requery() = 0;
 
-  /// Renegotiated quota (0 <= q <= size); returns fresh extrema.
+  /// Renegotiated quota (0 <= q <= size); returns fresh extrema. At c == 1
+  /// it is the monolithic dynamic-k rekey (on_set_k).
   virtual ShardExtrema set_quota(std::size_t q) = 0;
 
   /// Anchors the shard on the root boundary R (filters re-anchor and the
@@ -169,9 +171,8 @@ class ShardAdapter {
   virtual Cluster& cluster() = 0;
   virtual const MonitorStats& monitor_stats() const = 0;
 
-  /// Inner-driver delivery ticks consumed so far. Monotonic across filter
-  /// shard rebuilds (the clock lives on the warm cluster's network);
-  /// recovery-window accounting in the sharded scenario runner keys on it.
+  /// Inner-driver delivery ticks consumed so far (monotonic); recovery-
+  /// window accounting in the sharded scenario runner keys on it.
   virtual SimTime ticks() const = 0;
 };
 
@@ -222,26 +223,22 @@ class FilterShardAdapter final : public ShardAdapter {
   const std::vector<NodeId>& members() const override {
     return coord_->topk();
   }
-  std::size_t quota() const override { return quota_; }
+  std::size_t quota() const override { return coord_->k(); }
   Cluster& cluster() override { return cluster_; }
   const MonitorStats& monitor_stats() const override {
-    mstats_combined_ = mstats_retired_;
-    add_monitor_stats(mstats_combined_, coord_->monitor_stats());
-    return mstats_combined_;
+    return coord_->monitor_stats();
   }
-  SimTime ticks() const override { return driver_ ? driver_->now() : 0; }
+  SimTime ticks() const override { return driver_->now(); }
 
  private:
-  /// (Re)creates coordinator + nodes + driver on the warm cluster and
-  /// runs the driver's initialization (a full FILTERRESET over current
-  /// values). Folds the outgoing coordinator's counters into
-  /// mstats_retired_ first — CommStats live on the persistent cluster and
-  /// accumulate on their own.
-  void rebuild();
+  /// extrema() after a requery or quota move. When the sessions could not
+  /// establish exact extrema (a lost report, an aborted fallback
+  /// selection), the shard is untrusted: it reports no outsider and, at
+  /// non-zero quota, an unfillable member side, so the root only ever
+  /// moves quota away from it.
+  ShardExtrema exact_extrema();
 
   ShardConfig cfg_;
-  bool nobeacon_;
-  std::size_t quota_;
   Cluster cluster_;
   /// Stable pin storage; FilterCoordinator::Options points here, so the
   /// root can move the boundary without touching the coordinator.
@@ -249,8 +246,6 @@ class FilterShardAdapter final : public ShardAdapter {
   std::unique_ptr<FilterCoordinator> coord_;
   std::vector<std::unique_ptr<NodeAlgo>> nodes_;
   std::unique_ptr<SimDriver> driver_;
-  MonitorStats mstats_retired_;  ///< counters of retired coordinators
-  mutable MonitorStats mstats_combined_;  ///< retired + current (scratch)
 };
 
 }  // namespace topkmon

@@ -294,8 +294,8 @@ RunResult run_sharded_scenario(const Scenario& sc) {
   // Sharded deployments accept membership churn and dynamic-k plans (the
   // deployment carves the schedule into per-shard plans; a whole-shard
   // outage drains its quota at the root via the under-fill fixpoint) and
-  // reject adversarial degradations: the lag/stale/mute held-send
-  // machinery is per-driver state that cannot survive shard rebuilds.
+  // reject adversarial degradations: the suspicion machinery that answers
+  // them has no root-tier protocol.
   const FaultPlan plan(sc.faults, sc.n, sc.k, sc.seed);
   const bool faulty = !plan.empty();
   if (plan.has_degradation()) {
@@ -461,8 +461,8 @@ RunResult run_sharded_scenario(const Scenario& sc) {
   // Scenario-side mirror of the fault schedule (the shard drivers fire
   // the carved membership events inside dep.step(t); dynamic k routes
   // through the root renegotiation here). Recovery windows key on the
-  // deployment's max shard tick clock — monotonic across filter-shard
-  // rebuilds — exactly like the monolithic runner keys on SimDriver::now.
+  // deployment's max shard tick clock exactly like the monolithic runner
+  // keys on SimDriver::now.
   std::size_t next_event = 0;
   std::size_t win_begin = 0;
   std::size_t win_end = 0;
@@ -497,7 +497,8 @@ RunResult run_sharded_scenario(const Scenario& sc) {
           break;
         case FaultEvent::Kind::kSetK:
           cur_k = ev.count;
-          dep.set_k(cur_k);
+          // At c == 1 the shard driver fires the event itself.
+          if (dep.shards() > 1) dep.set_k(cur_k);
           if (track) {
             truth.emplace(N, cur_k);
             for (NodeId id = 0; id < N; ++id) {

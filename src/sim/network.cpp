@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -498,9 +499,10 @@ void Network::drain_node(NodeId id, std::vector<Message>& out) {
   }
   out.clear();
   if (!instant_) {
-    drain_scheduled(id, out);
+    drain_scheduled(id, out);  // a down node's deliveries drop at due tick
     return;
   }
+  refuse_down_node(id, "drain_node");
   pending_ -= merge_instant_mail(id, out);
   maybe_compact_broadcast_log();
 }
@@ -523,6 +525,13 @@ std::vector<Message> Network::drain_node(NodeId id) {
   std::vector<Message> out;
   drain_node(id, out);
   return out;
+}
+
+void Network::refuse_down_node(NodeId id, const char* what) const {
+  if (down_count_ != 0 && !alive_->test(id)) {
+    throw std::logic_error(std::string("Network::") + what + ": node " +
+                           std::to_string(id) + " is down");
+  }
 }
 
 void Network::set_node_down(NodeId id) {

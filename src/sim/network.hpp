@@ -217,7 +217,10 @@ class Network {
   /// issued since its last drain, in send order (broadcasts and unicasts
   /// interleaved by issue time; under jitter, by delivery tick first).
   /// Owner thread only (compacts the log, settles shared accounting) —
-  /// parallel shards use drain_node_staged.
+  /// parallel shards use drain_node_staged. Under the instant policy it
+  /// throws std::logic_error for a down node: its cursor still points at
+  /// the broadcasts issued during its outage, none of them deliverable.
+  /// (A scheduled down node drains empty: its mail drops at the due tick.)
   void drain_node(NodeId id, std::vector<Message>& out);
 
   /// Convenience overload returning a fresh vector (tests / cold paths).
@@ -325,9 +328,11 @@ class Network {
   /// read by other nodes in the same pass stay put) — callers fanning out
   /// to many nodes run compact_broadcast_log() once afterwards. Owner
   /// thread only (settles the shared pending counter) — parallel shards
-  /// use deliver_broadcasts_staged.
+  /// use deliver_broadcasts_staged. Throws std::logic_error for a down
+  /// node, like drain_node.
   template <typename Deliver>
   void deliver_broadcasts(NodeId id, Deliver&& deliver) {
+    refuse_down_node(id, "deliver_broadcasts");
     pending_ -= read_broadcasts(id, deliver);
   }
 
@@ -391,6 +396,10 @@ class Network {
   bool scoped_entry(std::size_t i) const noexcept {
     return (bcast_seqs_[i] & kScopedTag) != 0;
   }
+
+  /// Throws std::logic_error when node id is down (drain_node,
+  /// deliver_broadcasts). One bit test while every node is up.
+  void refuse_down_node(NodeId id, const char* what) const;
 
   /// Shared core of deliver_broadcasts(_staged): commits node id's unread
   /// suffix, then delivers it in place. Returns the number of deliveries.

@@ -21,16 +21,19 @@
 // concurrency-facing tests up by filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/ground_truth.hpp"
 #include "core/root_merge.hpp"
 #include "core/runner.hpp"
 #include "exp/monitor_registry.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_grid.hpp"
 #include "sim/network_model.hpp"
+#include "streams/factory.hpp"
 
 namespace topkmon {
 namespace {
@@ -84,24 +87,30 @@ TEST(ShardEquivalence, ShardsOneMatchesMonolithicPath) {
   const std::vector<std::string> monitors{"topk_filter", "naive", "naive_chg"};
   const std::vector<std::string> networks{"instant", "delay=1",
                                           "delay=1,jitter=2", "drop=0.2"};
+  // Dynamic k too: the single shard rekeys at the monolithic point of the
+  // step, and the filter nodes learn each new k from the selection.
+  const std::vector<std::string> plans{"none", "churn?k=11@60,k=3@140"};
   for (const auto& monitor : monitors) {
     for (const auto& network : networks) {
-      exp::Scenario sc = base_scenario(monitor, 48, 6, 17, 200);
-      sc.network = parse_network_spec(network);
-      sc.shards = 1;
-      sc.record_series = true;  // per-step message counts must match too
-      if (!sc.network.is_instant()) {
-        // Scheduled networks degrade the answer exactly like monolithic
-        // native runs; equal error_steps below pins the answers per step.
-        sc.validation = RunConfig::Validation::kWeak;
-        sc.throw_on_error = false;
+      for (const auto& faults : plans) {
+        exp::Scenario sc = base_scenario(monitor, 48, 6, 17, 200);
+        sc.network = parse_network_spec(network);
+        sc.faults = faults;
+        sc.shards = 1;
+        sc.record_series = true;  // per-step message counts must match too
+        if (!sc.network.is_instant()) {
+          // Scheduled networks degrade the answer exactly like monolithic
+          // native runs; equal error_steps below pins the answers per step.
+          sc.validation = RunConfig::Validation::kWeak;
+          sc.throw_on_error = false;
+        }
+        const std::string label = monitor + " / " + network + " / " + faults;
+        const RunResult mono = exp::run_scenario(sc);
+        const RunResult sharded = exp::run_sharded_scenario(sc);
+        expect_identical(mono, sharded, label);
+        EXPECT_EQ(sharded.root_comm.total(), 0u)
+            << label << ": inert root tier must never speak";
       }
-      const RunResult mono = exp::run_scenario(sc);
-      const RunResult sharded = exp::run_sharded_scenario(sc);
-      expect_identical(mono, sharded, monitor + " / " + network);
-      EXPECT_EQ(sharded.root_comm.total(), 0u)
-          << monitor << " / " << network
-          << ": inert root tier must never speak";
     }
   }
 }
@@ -142,6 +151,91 @@ TEST(ShardEquivalence, ShardedExactUnderInstantNetwork) {
       }
     }
   }
+}
+
+// Drives a filter ShardedDeployment over random walks (start values rise
+// with node id, so every winner starts in the last shard and the bootstrap
+// moves most of the quota there) and checks the answer against the values
+// after initialization and after every step.
+struct SkewedRun {
+  std::uint64_t init_resets = 0;  ///< shard FILTERRESETs by time 0
+  std::size_t wrong_steps = 0;    ///< time 0 included
+  std::size_t longest_wrong_streak = 0;
+};
+
+SkewedRun run_skewed_deployment(const NetworkSpec& network,
+                                std::size_t shards, std::size_t steps) {
+  constexpr std::size_t kN = 512;
+  constexpr std::size_t kK = 16;
+  StreamSpec stream;
+  stream.family = StreamFamily::kRandomWalk;
+  stream.walk.hi = 100'000'000;
+  stream.walk.max_step = 400'000;  // crosses a few neighbours per step
+  StreamSet streams = make_stream_set(stream, kN, 21);
+  ShardedSpec spec;
+  spec.n = kN;
+  spec.k = kK;
+  spec.shards = shards;
+  spec.seed = 21;
+  spec.network = network;
+  spec.suppress_idle_broadcasts = true;
+  ShardedDeployment dep(spec);
+
+  SkewedRun run;
+  std::size_t streak = 0;
+  std::vector<Value> values(kN);
+  std::vector<Value> next(kN);
+  std::vector<NodeId> changed;
+  const auto check = [&] {
+    if (is_valid_topk(values, dep.topk())) {
+      streak = 0;
+      return;
+    }
+    ++run.wrong_steps;
+    run.longest_wrong_streak = std::max(run.longest_wrong_streak, ++streak);
+  };
+  streams.advance_all(values);
+  for (NodeId id = 0; id < kN; ++id) dep.set_value(id, values[id]);
+  dep.initialize();
+  run.init_resets = dep.monitor_totals().filter_resets;
+  check();
+  for (TimeStep t = 1; t <= steps; ++t) {
+    streams.advance_all(next);
+    changed.clear();
+    for (NodeId id = 0; id < kN; ++id) {
+      if (next[id] != values[id]) {
+        changed.push_back(id);
+        dep.set_value(id, next[id]);
+      }
+    }
+    values.swap(next);
+    dep.step(t, changed);
+    check();
+  }
+  return run;
+}
+
+TEST(ShardQuotaMoves, SkewedStartMovesQuotaInPlaceAndStaysExact) {
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const SkewedRun run = run_skewed_deployment(NetworkSpec{}, shards, 150);
+    // One FILTERRESET per shard at initialization: every bootstrap quota
+    // move ran in place (a swap plus one extremum session).
+    EXPECT_EQ(run.init_resets, shards);
+    EXPECT_EQ(run.wrong_steps, 0u);  // exact at time 0 and on every step
+  }
+}
+
+TEST(ShardQuotaMoves, SkewedStartUnderDropFallsBackAndReconverges) {
+  // Under loss a refresh session can end unanswered, or a moved node's
+  // assignment can be lost; the shard then re-selects at its new quota,
+  // which shows as a FILTERRESET beyond the one per shard. Wrong answers
+  // stay transient: every one is repaired within a few steps.
+  const SkewedRun run =
+      run_skewed_deployment(parse_network_spec("drop=0.01"), 4, 300);
+  EXPECT_GT(run.init_resets, 4u);
+  EXPECT_LE(run.longest_wrong_streak, 5u);
+  EXPECT_LT(run.wrong_steps, 301u / 4);
 }
 
 TEST(ShardDeterminism, WorkersInvariantAtAnyShardCount) {

@@ -400,6 +400,21 @@ TEST(FaultInjection, RecoverDuringRenegotiationAndDynamicK) {
   }
 }
 
+TEST(FaultInjection, FilterNodesAdoptTheNewKOfADynamicKPlan) {
+  // The nodes learn k from the selection control. If they kept the k
+  // they were built with, the winners k_old+1..k of the reset at step 80
+  // would believe they are outsiders, violate at once, and force a fresh
+  // FILTERRESET on every later step (~100 resets over these 100 steps).
+  Scenario sc =
+      churn_scenario("topk_filter", "instant", "churn?k=20@80", 64, 8);
+  sc.steps = 80;
+  const RunResult before = run_scenario(sc);
+  sc.steps = 180;
+  const RunResult after = run_scenario(sc);
+  EXPECT_EQ(after.error_steps, 0u);
+  EXPECT_LE(after.monitor.filter_resets - before.monitor.filter_resets, 2u);
+}
+
 TEST(FaultInjection, JoinBlockExtendsIdRange) {
   // Joining ids live in [n, total_nodes); the answer may contain them
   // after the join step.

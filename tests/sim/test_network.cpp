@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace topkmon {
 namespace {
@@ -119,6 +120,49 @@ TEST(Network, CoordinatorInboxPreservesArrivalOrder) {
   EXPECT_EQ(inbox[0].from, 2u);
   EXPECT_EQ(inbox[1].from, 0u);
   EXPECT_EQ(inbox[2].from, 1u);
+}
+
+TEST(Network, DownNodesAreNeverDrainedAndPendingStaysExact) {
+  // Instant policy: a down node's share of every broadcast counts as
+  // dropped at issue, never as pending, and it cannot be drained (its
+  // cursor still points at the outage's broadcasts). Draining every live
+  // node must bring pending_deliveries() to exactly zero.
+  CommStats stats;
+  Network net(6, &stats);
+  net.set_node_down(1);
+  net.set_node_down(4);
+  net.coord_broadcast(mk(MsgKind::kRoundBeacon, 1));
+  net.coord_unicast(2, mk(MsgKind::kProbe, 2));
+  net.coord_unicast(4, mk(MsgKind::kProbe, 3));  // down: dropped at send
+  net.coord_broadcast(mk(MsgKind::kRoundBeacon, 4));
+  EXPECT_EQ(net.pending_deliveries(), 4u * 2u + 1u);
+  EXPECT_EQ(net.dropped_deliveries(), 2u * 2u + 1u);
+
+  std::vector<Message> out;
+  EXPECT_THROW(net.drain_node(1, out), std::logic_error);
+  EXPECT_THROW(net.deliver_broadcasts(4, [](const Message&) {}),
+               std::logic_error);
+  EXPECT_EQ(net.pending_deliveries(), 9u);  // a refused drain moves nothing
+
+  std::size_t delivered = 0;
+  for (NodeId id = 0; id < 6; ++id) {
+    if (!net.node_alive(id)) continue;
+    if (net.node_mail_is_broadcast_only(id)) {
+      net.deliver_broadcasts(id, [&](const Message&) { ++delivered; });
+    } else {
+      net.drain_node(id, out);
+      delivered += out.size();
+    }
+  }
+  EXPECT_EQ(delivered, 9u);
+  EXPECT_EQ(net.pending_deliveries(), 0u);
+
+  // After recovery the node reads only what was issued since.
+  net.set_node_up(1);
+  net.coord_broadcast(mk(MsgKind::kRoundBeacon, 5));
+  EXPECT_EQ(net.pending_deliveries(), 5u);
+  ASSERT_EQ(net.drain_node(1).size(), 1u);
+  EXPECT_EQ(net.pending_deliveries(), 4u);
 }
 
 TEST(Network, BroadcastLogAccessible) {
