@@ -527,11 +527,9 @@ std::vector<Message> Network::drain_node(NodeId id) {
   return out;
 }
 
-void Network::refuse_down_node(NodeId id, const char* what) const {
-  if (down_count_ != 0 && !alive_->test(id)) {
-    throw std::logic_error(std::string("Network::") + what + ": node " +
-                           std::to_string(id) + " is down");
-  }
+void Network::throw_node_down(NodeId id, const char* what) {
+  throw std::logic_error(std::string("Network::") + what + ": node " +
+                         std::to_string(id) + " is down");
 }
 
 void Network::set_node_down(NodeId id) {

@@ -398,8 +398,11 @@ class Network {
   }
 
   /// Throws std::logic_error when node id is down (drain_node,
-  /// deliver_broadcasts). One bit test while every node is up.
-  void refuse_down_node(NodeId id, const char* what) const;
+  /// deliver_broadcasts). One counter test while every node is up.
+  void refuse_down_node(NodeId id, const char* what) const {
+    if (down_count_ != 0 && !alive_->test(id)) throw_node_down(id, what);
+  }
+  [[noreturn]] static void throw_node_down(NodeId id, const char* what);
 
   /// Shared core of deliver_broadcasts(_staged): commits node id's unread
   /// suffix, then delivers it in place. Returns the number of deliveries.
