@@ -393,13 +393,12 @@ void ShardedDeployment::set_k(std::size_t k) {
   if (k == 0 || k > spec_.n) {
     throw std::invalid_argument("ShardedDeployment::set_k: k out of range");
   }
-  spec_.k = k;
   if (adapters_.size() == 1) {
-    // Inert root tier: re-key the single shard directly, exactly the
-    // monolithic on_set_k semantics (both shard kinds rekey in place).
-    adapters_[0]->set_quota(k);
-    return;
+    throw std::logic_error(
+        "ShardedDeployment::set_k: at c == 1 k changes only through the "
+        "k= events of spec.faults");
   }
+  spec_.k = k;
   root_coord_->request_k(k);
 }
 

@@ -230,12 +230,11 @@ class ShardedDeployment {
   void step(TimeStep t, std::span<const NodeId> changed);
 
   /// Dynamic reconfiguration to a new global top-k size (1 <= k <= n),
-  /// applied warm: at c == 1 the single shard's quota is re-keyed
-  /// directly; at c > 1 the root renegotiates shard quotas to the new
-  /// total at the next step (RootMergeCoordinator::request_k). Call
-  /// between steps, before the step the new k takes effect at. A kSetK
-  /// event of spec.faults at c == 1 is applied by the shard driver and
-  /// must not be repeated here.
+  /// applied warm: the root renegotiates shard quotas to the new total at
+  /// the next step (RootMergeCoordinator::request_k). Call between steps,
+  /// before the step the new k takes effect at. c > 1 only (throws
+  /// std::logic_error at c == 1, where the single shard's driver fires
+  /// the kSetK events of spec.faults itself).
   void set_k(std::size_t k);
 
   const std::vector<NodeId>& topk() const { return root_coord_->topk(); }

@@ -213,11 +213,7 @@ ShardExtrema FilterShardAdapter::set_quota(std::size_t q) {
     throw std::invalid_argument("FilterShardAdapter::set_quota: q > size");
   }
   CoordCtx ctx(*driver_, cluster_);
-  if (cfg_.sharded) {
-    coord_->set_quota(ctx, q);
-  } else {
-    coord_->on_set_k(ctx, q);  // c == 1: exactly the monolithic rekey
-  }
+  coord_->set_quota(ctx, q);
   driver_->quiesce();
   return exact_extrema();
 }

@@ -156,8 +156,9 @@ class ShardAdapter {
   /// replica is already current.
   virtual ShardExtrema requery() = 0;
 
-  /// Renegotiated quota (0 <= q <= size); returns fresh extrema. At c == 1
-  /// it is the monolithic dynamic-k rekey (on_set_k).
+  /// Renegotiated quota (0 <= q <= size); returns fresh extrema. Only the
+  /// root tier calls it, so never at c == 1 (the inert root moves no
+  /// quota; a k change there is the shard driver's kSetK event).
   virtual ShardExtrema set_quota(std::size_t q) = 0;
 
   /// Anchors the shard on the root boundary R (filters re-anchor and the

@@ -649,6 +649,12 @@ TEST(FaultInjection, ShardedSetKValidatesRange) {
   dep.initialize();
   EXPECT_THROW(dep.set_k(0), std::invalid_argument);
   EXPECT_THROW(dep.set_k(17), std::invalid_argument);
+
+  // At c == 1 the single shard's driver applies k= plan events itself;
+  // there is no second route.
+  spec.shards = 1;
+  ShardedDeployment single(spec);
+  EXPECT_THROW(single.set_k(5), std::logic_error);
 }
 
 }  // namespace
