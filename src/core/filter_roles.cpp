@@ -384,10 +384,12 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
   if (!sess_.have_best) {
     // Only possible under message loss: every report of the session was
     // dropped. Abandon the cycle; the next violation restarts repair. A
-    // refresh owes its shard exact extrema now, so it re-selects instead.
-    const bool refresh = phase_ == Phase::kRefresh;
+    // refresh owes its shard exact extrema now, so it re-selects instead;
+    // an abandoned selection may leave no answer (abandon_reset).
+    const Phase phase = phase_;
     abort_cycle();
-    if (refresh) begin_reset(ctx);
+    if (phase == Phase::kRefresh) begin_reset(ctx);
+    if (phase == Phase::kReset) abandon_reset();
     return;
   }
 
@@ -426,6 +428,7 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
       for (const Winner& w : sel_winners_) {
         if (w.id == sess_.best_holder) {
           abort_cycle();
+          abandon_reset();
           return;
         }
       }
@@ -529,12 +532,20 @@ void FilterCoordinator::start_next_session(CoordCtx& ctx) {
   if (phase_ == Phase::kReset) {
     start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest, n_,
                   /*announce=*/true);
-  } else if (refresh_min_) {
-    start_session(ctx, Direction::kMin, FilterSessionGroup::kAllTop, k_,
-                  /*announce=*/false);
-  } else if (refresh_max_) {
-    start_session(ctx, Direction::kMax, FilterSessionGroup::kAllBot, n_ - k_,
-                  /*announce=*/false);
+  } else if (refresh_min_ || refresh_max_) {
+    // A whole-side session, announced exactly like the violation
+    // handler's (a charged kProtocolStart naming the side).
+    Message start;
+    start.kind = MsgKind::kProtocolStart;
+    start.a = refresh_min_ ? 1 : 0;
+    ctx.broadcast(start);
+    if (refresh_min_) {
+      start_session(ctx, Direction::kMin, FilterSessionGroup::kAllTop, k_,
+                    /*announce=*/false);
+    } else {
+      start_session(ctx, Direction::kMax, FilterSessionGroup::kAllBot,
+                    n_ - k_, /*announce=*/false);
+    }
   } else {
     // Both sides known: the extrema are exact unless a lost assignment
     // left the membership inverted, which only a fresh selection repairs.
@@ -741,6 +752,20 @@ void FilterCoordinator::abort_cycle() {
   select_gap_ = 0;
   min_v_.reset();
   max_v_.reset();
+}
+
+void FilterCoordinator::abandon_reset() {
+  // The selection control already cleared every node's membership belief,
+  // so the previous answer no longer matches the nodes' filters: a member
+  // that falls below the boundary signals as an outsider, the handler's
+  // member-side session then finds no member to answer, and every repair
+  // aborts. A shard drops the answer instead; on_step_begin re-selects it
+  // and crossing() reports the under-fill to the root meanwhile.
+  // Monolithic runs still keep the old answer: dropping it there would
+  // change every lossy monolithic result (e15, perfbench sched_churn).
+  if (opts_.pinned_boundary == nullptr) return;
+  std::fill(in_topk_.begin(), in_topk_.end(), char{0});
+  topk_ids_.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -281,6 +281,9 @@ class FilterCoordinator final : public CoordinatorAlgo {
   void apply_boundary(CoordCtx& ctx, Value m);
   void cycle_done(CoordCtx& ctx);
   void abort_cycle();
+  /// A FILTERRESET that could not finish (a session ended unanswered or
+  /// repeated a winner). Sharded mode drops the answer; see the .cpp.
+  void abandon_reset();
   /// Decrements re-sync countdowns, resends timed-out probes (capped
   /// exponential backoff), keeps the coordinator timer armed while any
   /// re-sync is pending. No-op with no pending re-sync.

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -164,19 +165,20 @@ struct SkewedRun {
 };
 
 SkewedRun run_skewed_deployment(const NetworkSpec& network,
-                                std::size_t shards, std::size_t steps) {
+                                std::size_t shards, std::size_t steps,
+                                std::uint64_t seed = 21) {
   constexpr std::size_t kN = 512;
   constexpr std::size_t kK = 16;
   StreamSpec stream;
   stream.family = StreamFamily::kRandomWalk;
   stream.walk.hi = 100'000'000;
   stream.walk.max_step = 400'000;  // crosses a few neighbours per step
-  StreamSet streams = make_stream_set(stream, kN, 21);
+  StreamSet streams = make_stream_set(stream, kN, seed);
   ShardedSpec spec;
   spec.n = kN;
   spec.k = kK;
   spec.shards = shards;
-  spec.seed = 21;
+  spec.seed = seed;
   spec.network = network;
   spec.suppress_idle_broadcasts = true;
   ShardedDeployment dep(spec);
@@ -230,12 +232,19 @@ TEST(ShardQuotaMoves, SkewedStartUnderDropFallsBackAndReconverges) {
   // Under loss a refresh session can end unanswered, or a moved node's
   // assignment can be lost; the shard then re-selects at its new quota,
   // which shows as a FILTERRESET beyond the one per shard. Wrong answers
-  // stay transient: every one is repaired within a few steps.
-  const SkewedRun run =
-      run_skewed_deployment(parse_network_spec("drop=0.01"), 4, 300);
-  EXPECT_GT(run.init_resets, 4u);
-  EXPECT_LE(run.longest_wrong_streak, 5u);
-  EXPECT_LT(run.wrong_steps, 301u / 4);
+  // stay transient. A shard that rebuilt itself on every quota move was
+  // wrong on 26-36 of the 301 checks of each of these runs (and one
+  // that kept its answer after an abandoned selection on up to 193).
+  bool fell_back = false;
+  for (std::uint64_t seed = 21; seed <= 28; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const SkewedRun run =
+        run_skewed_deployment(parse_network_spec("drop=0.01"), 4, 300, seed);
+    fell_back = fell_back || run.init_resets > 4;
+    EXPECT_LE(run.wrong_steps, 20u);
+    EXPECT_LE(run.longest_wrong_streak, 10u);
+  }
+  EXPECT_TRUE(fell_back);
 }
 
 TEST(ShardDeterminism, WorkersInvariantAtAnyShardCount) {
