@@ -90,7 +90,8 @@ TOPKMON_SUITE(e4, "competitive ratio vs log Delta (Theorems 3.3/4.4)") {
     }
     ctx.emit(t, "e4a_sawtooth");
     ctx.out() << "shape: ratio grows ~linearly in log Delta (normalized "
-                 "column ~constant) — the bound's log Delta term is real.\n\n";
+                 "column ~constant) — the bound's log Delta term is "
+                 "real.\n\n";
   }
 
   // ---- (b) natural random walks -------------------------------------------

@@ -6,10 +6,11 @@
 // NetworkSpec: under the instant policy it is message-for-message and
 // coin-flip-for-coin-flip identical to its retired lock-step twin (pinned
 // by the golden digests in tests/data/role_port_goldens.txt); under
-// delay, jitter, drop or tick-budget policies it degrades gracefully — stale beacons
-// weaken round pruning (more reports), lost filter updates or winner
-// announcements desynchronize node state until the next violation repairs
-// it, and the validation layer records the resulting error steps.
+// delay, jitter, drop or tick-budget policies it degrades gracefully —
+// stale beacons weaken round pruning (more reports), lost filter updates
+// or winner announcements desynchronize node state until the next
+// violation repairs it, and the validation layer records the resulting
+// error steps.
 //
 // Division of state, mirroring a real deployment:
 //  * FilterNode owns the node's filter interval, its top-k membership

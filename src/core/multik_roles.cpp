@@ -369,8 +369,9 @@ void MultiKCoordinator::conclude_session(CoordCtx& ctx) {
     abort_cycle();
     return;
   }
-  const Boundary* b =
-      cur_boundary_ < boundaries_.size() ? &boundaries_[cur_boundary_] : nullptr;
+  const Boundary* b = cur_boundary_ < boundaries_.size()
+                          ? &boundaries_[cur_boundary_]
+                          : nullptr;
   switch (phase_) {
     case Phase::kViolDown:
       min_w_ = to_w(sess_.best_holder, sess_.best_value);

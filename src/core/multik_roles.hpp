@@ -161,7 +161,7 @@ class MultiKCoordinator final : public CoordinatorAlgo {
   std::vector<char> cycle_up_;
 
   Phase phase_ = Phase::kIdle;
-  std::size_t cur_boundary_ = 0;  ///< boundary being repaired (kViol*/kFullSide)
+  std::size_t cur_boundary_ = 0;  ///< boundary under repair (kViol*/kFullSide)
   std::optional<Value> min_w_;
   std::optional<Value> max_w_;
   CoordProtoSession sess_;

@@ -177,9 +177,10 @@ void OrderedNode::rebuild_slot(NodeCtx& ctx) {
     return;
   }
   if (member_) {
-    slot_hi_ = rank_ == 0 ? kPlusInf : midpoint(sel_w_[rank_], sel_w_[rank_ - 1]);
-    const Value lo = rank_ + 1 == k_ ? mid_w_
-                                     : midpoint(sel_w_[rank_ + 1], sel_w_[rank_]);
+    slot_hi_ =
+        rank_ == 0 ? kPlusInf : midpoint(sel_w_[rank_], sel_w_[rank_ - 1]);
+    const Value lo =
+        rank_ + 1 == k_ ? mid_w_ : midpoint(sel_w_[rank_ + 1], sel_w_[rank_]);
     filter_ = Filter{lo, slot_hi_};
   } else {
     filter_ = Filter{kMinusInf, mid_w_};

@@ -39,8 +39,7 @@ void RootMergeCoordinator::on_init(CoordCtx& ctx) {
   fresh_ = 0;
 }
 
-void RootMergeCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
-  cur_step_ = t;
+void RootMergeCoordinator::on_step_begin(CoordCtx& ctx, TimeStep) {
   violation_this_step_ = false;
   if (pending_k_.has_value()) {
     // Dynamic k (request_k): adopt the new target and renegotiate. When a
@@ -167,8 +166,6 @@ void RootMergeCoordinator::finish_renegotiation(CoordCtx& ctx) {
     max_l = std::max(max_l, i.l);
     min_u = std::min(min_u, i.u);
   }
-  r_ = midpoint(max_l, min_u);
-  have_r_ = true;
   ++mstats_.midpoint_updates;
   rphase_ = RPhase::kIdle;
   // Unconditional re-anchor broadcast, even when R is unchanged: a shard
@@ -176,7 +173,7 @@ void RootMergeCoordinator::finish_renegotiation(CoordCtx& ctx) {
   // report the same crossing every step.
   Message update;
   update.kind = MsgKind::kFilterUpdate;
-  update.a = r_;
+  update.a = midpoint(max_l, min_u);
   ctx.broadcast(update);
 }
 
@@ -214,7 +211,16 @@ std::string_view monitor_name(ShardedSpec::Monitor m) {
 
 }  // namespace
 
-ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
+ShardedDeployment::ShardedDeployment(const ShardedSpec& spec,
+                                     bool record_series) {
+  // The suspicion machinery that answers adversarial degradations has no
+  // root-tier protocol.
+  if (spec.faults != nullptr && spec.faults->has_degradation()) {
+    throw std::invalid_argument(
+        "ShardedDeployment: fault plan '" + spec.faults->spec_name() +
+        "' contains adversarial degradations; sharded deployments support "
+        "churn and k plans (lag/stale/mute/heal require shards == 1)");
+  }
   ranges_ = partition_shards(spec.n, spec.shards);
   const std::size_t c = ranges_.size();
 
@@ -236,15 +242,15 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
   // ids. Membership events route to the owning shard (a join block can
   // straddle shard boundaries and is split at them). kSetK goes to the
   // single shard at c == 1, whose driver then rekeys at the monolithic
-  // point of the step; at c > 1 it stays at the deployment level (the
-  // caller routes it through set_k). shard_plans_ is filled completely
+  // point of the step; at c > 1 it stays at the deployment level, where
+  // step() hands it to the root. shard_plans_ is filled completely
   // before any adapter takes a pointer into it.
   if (spec.faults != nullptr) {
     std::vector<std::vector<FaultEvent>> by_shard(c);
     for (const FaultEvent& ev : spec.faults->events()) {
       switch (ev.kind) {
         case FaultEvent::Kind::kSetK:
-          if (c == 1) by_shard[0].push_back(ev);
+          (c == 1 ? by_shard[0] : k_events_).push_back(ev);
           break;
         case FaultEvent::Kind::kJoin: {
           NodeId id = ev.node;
@@ -330,6 +336,12 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
   }
   changed_by_shard_.resize(c);
   shard_errors_.resize(c);
+  if (record_series) {
+    // Every shard cluster begins the same observation steps, so the
+    // per-shard series align by index and node_shard_comm's accumulate
+    // merges them into one deployment-level per-step series.
+    for (auto& a : adapters_) a->cluster().stats().enable_series();
+  }
 }
 
 std::size_t ShardedDeployment::shard_of(NodeId global) const {
@@ -352,12 +364,20 @@ void ShardedDeployment::set_value(NodeId global, Value v) {
   adapters_[s]->cluster().set_value(global - ranges_[s].base, v);
 }
 
+void ShardedDeployment::begin_step(TimeStep t) {
+  for (auto& a : adapters_) a->cluster().stats().begin_step(t);
+}
+
 void ShardedDeployment::initialize() {
   for (auto& a : adapters_) a->initialize();
   root_driver_->initialize();
 }
 
 void ShardedDeployment::step(TimeStep t, std::span<const NodeId> changed) {
+  while (next_k_event_ < k_events_.size() &&
+         k_events_[next_k_event_].step <= t) {
+    root_coord_->request_k(k_events_[next_k_event_++].count);
+  }
   for (auto& v : changed_by_shard_) v.clear();
   for (NodeId g : changed) {
     const std::size_t s = shard_of(g);
@@ -389,19 +409,6 @@ void ShardedDeployment::step(TimeStep t, std::span<const NodeId> changed) {
   root_driver_->step(t);
 }
 
-void ShardedDeployment::set_k(std::size_t k) {
-  if (k == 0 || k > spec_.n) {
-    throw std::invalid_argument("ShardedDeployment::set_k: k out of range");
-  }
-  if (adapters_.size() == 1) {
-    throw std::logic_error(
-        "ShardedDeployment::set_k: at c == 1 k changes only through the "
-        "k= events of spec.faults");
-  }
-  spec_.k = k;
-  root_coord_->request_k(k);
-}
-
 SimTime ShardedDeployment::ticks() const {
   SimTime t = 0;
   for (const auto& a : adapters_) t = std::max(t, a->ticks());
@@ -417,6 +424,13 @@ CommStats ShardedDeployment::node_shard_comm() {
   CommStats out;
   for (const auto& a : adapters_) out.accumulate(a->cluster().stats());
   return out;
+}
+
+void ShardedDeployment::read_result(RunResult& out) {
+  out.monitor_name = std::string(name());
+  out.comm = node_shard_comm();
+  out.root_comm = shard_root_comm();
+  out.monitor = monitor_totals();
 }
 
 MonitorStats ShardedDeployment::monitor_totals() const {

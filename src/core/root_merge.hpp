@@ -48,6 +48,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/deployment.hpp"
 #include "core/driver.hpp"
 #include "core/roles.hpp"
 #include "core/shard_coordinator.hpp"
@@ -69,7 +70,9 @@ class ShardAgent final : public NodeAlgo {
     send_extrema(ctx, adapter_.extrema());
   }
   void on_observe(NodeCtx& ctx, Value, TimeStep) override {
-    if (ctx.n() > 1 && adapter_.crossing()) send_extrema(ctx, adapter_.extrema());
+    if (ctx.n() > 1 && adapter_.crossing()) {
+      send_extrema(ctx, adapter_.extrema());
+    }
   }
   void on_message(NodeCtx& ctx, const Message& m) override {
     switch (m.kind) {
@@ -121,11 +124,6 @@ class RootMergeCoordinator final : public CoordinatorAlgo {
   void on_step_end(CoordCtx& ctx, TimeStep t) override;
   const std::vector<NodeId>& topk() const override { return topk_ids_; }
 
-  /// The shared root boundary R, once established.
-  std::optional<Value> root_boundary() const {
-    return have_r_ ? std::optional<Value>(r_) : std::nullopt;
-  }
-
   /// Dynamic reconfiguration: renegotiate the global top-k size to `k`
   /// at the next step. The quota fixpoint generalizes to an off-target
   /// total: while sum(quota) < k the shard with the strongest outsider
@@ -133,8 +131,9 @@ class RootMergeCoordinator final : public CoordinatorAlgo {
   /// member gives one up — each kFilterAssign moves the total one unit
   /// toward k before the usual improving transfers run, so the
   /// renegotiation terminates at the new total with the merged answer
-  /// exact. Callable between steps (scenario-side fault plumbing); the
-  /// next on_step_begin opens the renegotiation.
+  /// exact. ShardedDeployment::step calls it for the plan's k= events
+  /// before the shards step; the next on_step_begin opens the
+  /// renegotiation.
   void request_k(std::size_t k) noexcept { pending_k_ = k; }
 
  private:
@@ -163,12 +162,9 @@ class RootMergeCoordinator final : public CoordinatorAlgo {
   };
   RPhase rphase_ = RPhase::kIdle;
   std::optional<std::size_t> pending_k_;  ///< request_k, applied at step begin
-  bool have_r_ = false;
-  Value r_ = 0;
   std::vector<Info> info_;
   std::size_t fresh_ = 0;  ///< number of shards with info_[s].fresh
 
-  TimeStep cur_step_ = 0;
   bool violation_this_step_ = false;
 
   std::vector<NodeId> topk_ids_;
@@ -192,15 +188,14 @@ struct ShardedSpec {
   /// per-shard plans with shard-local ids and fired by the shard drivers;
   /// quotas split over the initially-live prefix only. kSetK events fire
   /// in the single shard's driver at c == 1 (the monolithic schedule);
-  /// at c > 1 they stay with the caller (route them through set_k).
-  /// Degradations (lag/stale/mute) are not supported sharded — the
-  /// scenario runner rejects such plans before construction.
+  /// at c > 1 step() requests them from the root tier. Degradations
+  /// (lag/stale/mute/heal) are not supported sharded: the constructor
+  /// rejects such plans.
   const FaultPlan* faults = nullptr;
 };
 
 /// A complete two-tier deployment: c shard deployments plus the root
-/// tier, presenting the same set_value / initialize / step / topk surface
-/// as a monolithic monitor run.
+/// tier, behind the same Deployment interface as a monolithic run.
 ///
 /// Parallelism: at c == 1 `workers` runs the single shard's parallel tick
 /// scan (exactly the monolithic behaviour). At c > 1 the shards' inner
@@ -209,43 +204,46 @@ struct ShardedSpec {
 /// pool's static index assignment keeps the shard->thread mapping fixed,
 /// and the root tier (serial, between steps) is the only cross-shard
 /// coupling, so results are byte-identical for every worker count.
-class ShardedDeployment {
+class ShardedDeployment final : public Deployment {
  public:
-  explicit ShardedDeployment(const ShardedSpec& spec);
+  /// Throws std::invalid_argument for a plan with degradations.
+  /// `record_series` enables every shard's per-step message series.
+  explicit ShardedDeployment(const ShardedSpec& spec,
+                             bool record_series = false);
 
   std::size_t shards() const noexcept { return ranges_.size(); }
-  const ShardRange& range(std::size_t s) const { return ranges_.at(s); }
   /// Owning shard of a global node id.
   std::size_t shard_of(NodeId global) const;
 
   /// Routes a global-id value write to the owning shard's cluster.
-  void set_value(NodeId global, Value v);
+  void set_value(NodeId global, Value v) override;
+
+  void begin_step(TimeStep t) override;
 
   /// Time 0: values must already be set. Initializes every shard (serial),
   /// then the root tier — the bootstrap renegotiation establishes R and
   /// anchors every shard on it before the first observation step.
-  void initialize();
+  void initialize() override;
 
-  /// One observation step; `changed` holds global ids (any order).
-  void step(TimeStep t, std::span<const NodeId> changed);
+  /// One observation step; `changed` holds global ids (any order). At
+  /// c > 1 the plan's k= events of step t go to the root first
+  /// (RootMergeCoordinator::request_k), which renegotiates the quotas to
+  /// the new total after the shards stepped.
+  void step(TimeStep t, std::span<const NodeId> changed) override;
 
-  /// Dynamic reconfiguration to a new global top-k size (1 <= k <= n),
-  /// applied warm: the root renegotiates shard quotas to the new total at
-  /// the next step (RootMergeCoordinator::request_k). Call between steps,
-  /// before the step the new k takes effect at. c > 1 only (throws
-  /// std::logic_error at c == 1, where the single shard's driver fires
-  /// the kSetK events of spec.faults itself).
-  void set_k(std::size_t k);
-
-  const std::vector<NodeId>& topk() const { return root_coord_->topk(); }
-  std::string_view name() const { return root_coord_->name(); }
-  const RootMergeCoordinator& root() const { return *root_coord_; }
+  const std::vector<NodeId>& topk() const override {
+    return root_coord_->topk();
+  }
+  std::string_view name() const override { return root_coord_->name(); }
   Cluster& shard_cluster(std::size_t s) { return adapters_.at(s)->cluster(); }
 
-  /// Max inner-driver delivery ticks across the shards (monotonic), so the
-  /// sharded scenario runner can key recovery-window accounting on it
-  /// exactly like the monolithic runner keys on SimDriver::now().
-  SimTime ticks() const;
+  /// Max inner-driver delivery ticks across the shards (monotonic), the
+  /// counterpart of a monolithic SimDriver::now().
+  SimTime ticks() const override;
+
+  /// comm = node_shard_comm(), root_comm = shard_root_comm(), monitor =
+  /// monitor_totals().
+  void read_result(RunResult& out) override;
 
   /// node<->shard tier message totals: the per-shard cluster counters
   /// summed (at c == 1, a plain copy of the single shard's stats, series
@@ -258,13 +256,15 @@ class ShardedDeployment {
   MonitorStats monitor_totals() const;
 
  private:
-  ShardedSpec spec_;
   std::vector<ShardRange> ranges_;
   /// Per-shard carved fault schedules (shard-local ids). Filled once in
   /// the constructor and never resized after: the adapters hold stable
   /// pointers into it, so it must be declared before them (destroyed
   /// after).
   std::vector<FaultPlan> shard_plans_;
+  /// The plan's kSetK events at c > 1 (step order) and the next one due.
+  std::vector<FaultEvent> k_events_;
+  std::size_t next_k_event_ = 0;
   std::vector<std::unique_ptr<ShardAdapter>> adapters_;
   std::vector<std::unique_ptr<NodeAlgo>> agents_;
   std::unique_ptr<Cluster> root_cluster_;

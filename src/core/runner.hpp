@@ -132,7 +132,7 @@ struct RunResult {
 
 class GroundTruthTracker;
 
-/// Per-step validation core of the exp::run_scenario loops: checks
+/// Per-step validation core of the exp::run_scenario loop: checks
 /// `answer` against the incrementally maintained ground truth under
 /// cfg.validation (plus the rank order when cfg.validate_order and
 /// `claimed_order` is non-null — the OrderedCoordinator's ranked answer,

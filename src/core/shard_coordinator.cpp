@@ -76,7 +76,7 @@ namespace {
 
 /// Shared ctor step of both adapters: ids provisioned for a later join
 /// start down, before the first initialize, exactly like the monolithic
-/// runner marks them (driver.hpp set_fault_plan contract).
+/// deployment marks them (driver.hpp set_fault_plan contract).
 void mark_join_reserve_down(const ShardConfig& cfg, Cluster& cluster) {
   for (std::size_t i = cfg.n - std::min(cfg.join_reserve, cfg.n); i < cfg.n;
        ++i) {

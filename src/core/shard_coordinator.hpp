@@ -172,8 +172,8 @@ class ShardAdapter {
   virtual Cluster& cluster() = 0;
   virtual const MonitorStats& monitor_stats() const = 0;
 
-  /// Inner-driver delivery ticks consumed so far (monotonic); recovery-
-  /// window accounting in the sharded scenario runner keys on it.
+  /// Inner-driver delivery ticks consumed so far (monotonic); the
+  /// deployment's ticks() is their maximum.
   virtual SimTime ticks() const = 0;
 };
 

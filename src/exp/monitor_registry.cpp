@@ -9,6 +9,7 @@
 #include "core/naive_roles.hpp"
 #include "core/ordered_roles.hpp"
 #include "core/recompute_roles.hpp"
+#include "core/root_merge.hpp"
 #include "core/slack_roles.hpp"
 #include "util/strings.hpp"
 
@@ -262,6 +263,30 @@ std::pair<std::string, std::size_t> split_shards_param(std::string_view spec) {
     }
   }
   return {std::move(rest), shards};
+}
+
+ShardedSpec sharded_monitor_spec(std::string_view spec) {
+  const ParsedSpec parsed = parse_spec(spec);
+  ShardedSpec out;
+  if (parsed.name == "topk_filter") {
+    for (const auto& p : parsed.params) {
+      if (p.key != "nobeacon") bad_param(parsed, p);
+      out.suppress_idle_broadcasts = parse_flag(p);
+    }
+    return out;
+  }
+  if (parsed.params.empty() && parsed.name == "naive") {
+    out.monitor = ShardedSpec::Monitor::kNaive;
+    return out;
+  }
+  if (parsed.params.empty() && parsed.name == "naive_chg") {
+    out.monitor = ShardedSpec::Monitor::kNaiveChg;
+    return out;
+  }
+  throw std::invalid_argument(
+      "run_sharded_scenario: monitor '" + std::string(spec) +
+      "' has no sharded deployment (native: topk_filter, naive, "
+      "naive_chg)");
 }
 
 bool is_known_monitor(std::string_view spec) noexcept {

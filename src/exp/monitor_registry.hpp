@@ -27,6 +27,10 @@
 #include "core/roles.hpp"
 #include "sim/cluster.hpp"
 
+namespace topkmon {
+struct ShardedSpec;
+}  // namespace topkmon
+
 namespace topkmon::exp {
 
 /// A deployable role-separated monitor: one coordinator plus one node
@@ -52,9 +56,16 @@ bool is_known_monitor(std::string_view spec) noexcept;
 /// "not given" from an explicit value; an explicit parameter always wins
 /// over Scenario::shards. Throws std::invalid_argument for a malformed
 /// or zero value. The remaining spec never reaches the monitor factories
-/// with a `shards` key — sharding is a deployment property
-/// (exp::run_sharded_scenario), not a monitor parameter.
+/// with a `shards` key — sharding is a deployment property (a
+/// ShardedDeployment under exp::run_scenario), not a monitor parameter.
 std::pair<std::string, std::size_t> split_shards_param(std::string_view spec);
+
+/// The monitor half of a ShardedSpec for a (shards-stripped) spec:
+/// "topk_filter" with its `nobeacon` flag, or a parameterless "naive" /
+/// "naive_chg". Throws std::invalid_argument for any other monitor or
+/// parameter (the ports, `?backoff`, `?suspect` and `?replay` have no
+/// sharded deployment).
+ShardedSpec sharded_monitor_spec(std::string_view spec);
 
 /// All registered monitor base names, in a stable canonical order (the
 /// paper's Algorithm 1 first, then baselines).

@@ -1,15 +1,16 @@
 // Declarative experiment scenarios: one struct describes *everything* a
 // single simulation needs — which monitor (registry spec string), which
 // workload (StreamSpec, family settable by name), which network policy
-// (NetworkSpec, parseable from a string), the problem size and the
-// validation regime. run_scenario() is the single execution entry point:
-// it builds the role-separated deployment, drives it with the SimDriver
-// event loop, validates every step against the ground truth and returns
-// the familiar RunResult. Every registry monitor is a native role pair,
-// so every monitor runs under every network policy, worker count and
-// fault plan; the run_scenario(Scenario, StreamSet&) overload replays
-// caller-built streams (e.g. a hand-made TraceMatrix) through the same
-// loop.
+// (NetworkSpec, parseable from a string), the problem size, the shard
+// count and the validation regime. run_scenario() is the single
+// execution entry point: it builds the deployment (one coordinator, or c
+// shard coordinators under a root; core/deployment.hpp), drives it
+// through one time-0..steps loop, validates every step against the
+// ground truth and returns the familiar RunResult. Every registry
+// monitor is a native role pair, so every monitor runs under every
+// network policy, worker count and fault plan; the run_scenario(Scenario,
+// StreamSet&) overload replays caller-built streams (e.g. a hand-made
+// TraceMatrix) through the same loop.
 #pragma once
 
 #include <functional>
@@ -68,15 +69,15 @@ struct Scenario {
   std::size_t workers = 1;
 
   /// Shard count of the two-tier hierarchical deployment
-  /// (core/root_merge.hpp): 1 (default) runs the single-coordinator path,
-  /// c > 1 partitions the nodes across c shard coordinators under a root
-  /// coordinator and routes the run through run_sharded_scenario —
-  /// RunResult::comm then counts the node<->shard tier and
-  /// RunResult::root_comm the shard<->root tier. A `?shards=c` monitor
-  /// parameter (e.g. "topk_filter?shards=4") overrides this field. Only
-  /// the monitors with a sharded deployment ("topk_filter", "naive",
-  /// "naive_chg" — a narrower set than the native role ports) support
-  /// c > 1.
+  /// (core/root_merge.hpp): 1 (default) runs the single-coordinator
+  /// deployment, c > 1 partitions the nodes across c shard coordinators
+  /// under a root coordinator — RunResult::comm then counts the
+  /// node<->shard tier and RunResult::root_comm the shard<->root tier.
+  /// 0 is rejected. A `?shards=c` monitor parameter (e.g.
+  /// "topk_filter?shards=4") overrides this field. Only the monitors
+  /// with a sharded deployment ("topk_filter" with its `nobeacon` flag,
+  /// "naive", "naive_chg" — a narrower set than the native role ports)
+  /// support c > 1.
   /// record_series works at any c: the per-shard series are merged
   /// element-wise into one deployment-level per-step series (every shard
   /// begins the same steps, so the series align by index).
@@ -86,15 +87,17 @@ struct Scenario {
   /// (default) runs fault-free and byte-identical to a scenario without
   /// the field; anything else schedules crash / recover / join / leave /
   /// dynamic-k events — plus the adversarial degradations lag / stale /
-  /// mute / heal — against the run. Composes with any network policy and with workers > 1 (schedules derive from the run seed like
-  /// link randomness, so results stay byte-reproducible). With join
-  /// events the cluster/streams/ground truth are provisioned at the
-  /// plan's total_nodes(); RunResult::recovery_ticks then reports the
+  /// mute / heal — against the run. Composes with any network policy
+  /// and with workers > 1 (schedules derive from the run seed like link
+  /// randomness, so results stay byte-reproducible). With join events the
+  /// deployment, streams and ground truth are provisioned at the plan's
+  /// total_nodes(); RunResult::recovery_ticks then reports the
   /// re-convergence window of every event (for a degradation: the error
-  /// tail until the monitor quarantines the node or the heal lands).
-  /// Sharded deployments (shards > 1) accept churn and dynamic-k plans —
-  /// the deployment carves the schedule into per-shard plans and the
-  /// root renegotiates quotas across outages — and reject degradations
+  /// tail until the monitor quarantines the node or the heal lands). The
+  /// deployment's drivers fire every event. Sharded deployments
+  /// (shards > 1) accept churn and dynamic-k plans — the deployment
+  /// carves the schedule into per-shard plans and the root renegotiates
+  /// quotas across outages and k changes — and reject degradations
   /// (lag/stale/mute/heal require shards == 1).
   std::string faults = "none";
 
@@ -147,35 +150,31 @@ struct Scenario {
 
 /// Runs the scenario end to end and returns its result. Throws
 /// std::invalid_argument for malformed scenarios (unknown monitor/family,
-/// k out of range) and std::logic_error on validation divergence when
-/// throw_on_error is set. Thread-safe: concurrent calls share no state
-/// (each scenario builds its own cluster/driver), which is how the
-/// SweepRunner's trial parallelism composes with per-scenario workers.
+/// k out of range, shards == 0 or > n, a monitor or fault plan a sharded
+/// deployment does not support) and std::logic_error on validation
+/// divergence when throw_on_error is set. Thread-safe: concurrent calls
+/// share no state (each scenario builds its own deployment), which is how
+/// the SweepRunner's trial parallelism composes with per-scenario
+/// workers.
 RunResult run_scenario(const Scenario& scenario);
 
 /// Runs the scenario over caller-supplied streams instead of
 /// `scenario.stream` (hand-built traces: TraceMatrix::to_stream_set()).
 /// `streams` must hold one stream per provisioned node (scenario.n, plus
-/// the fault plan's joining nodes) and is advanced by the run. Monolithic
-/// deployments only: throws std::invalid_argument for shards > 1 or a
-/// stream-count mismatch, otherwise behaves exactly like run_scenario.
+/// the fault plan's joining nodes) and is advanced by the run. Throws
+/// std::invalid_argument for a stream-count mismatch, otherwise behaves
+/// exactly like run_scenario, at any shard count.
 RunResult run_scenario(const Scenario& scenario, StreamSet& streams);
 
-/// Runs the scenario on a two-tier sharded deployment (core/root_merge.hpp)
-/// with `scenario.shards` shard coordinators (a `?shards=c` monitor
-/// parameter wins over the field; run_scenario dispatches here whenever
-/// the effective count is > 1). Callable directly with shards == 1 too —
-/// the root tier is then inert and the output is message-for-message and
-/// answer-for-answer identical to run_scenario's monolithic path (pinned
-/// by tests/core/test_shard_equivalence.cpp). Exactness at c > 1 is
+/// run_scenario on a two-tier ShardedDeployment (core/root_merge.hpp)
+/// even at shards == 1, where the root tier is inert: the reference the
+/// shards = 1 equivalence test and the e18 suite compare the monolithic
+/// deployment against, message for message and answer for answer
+/// (tests/core/test_shard_equivalence.cpp). Exactness at c > 1 is
 /// guaranteed under instant delivery with pairwise-distinct values;
 /// non-instant networks run supported-but-degraded, like the monolithic
 /// native monitors (error steps are recorded, use kWeak +
-/// throw_on_error=false). Membership churn and dynamic-k fault plans are
-/// supported at any c (whole-shard outages drain the dead shard's quota
-/// at the root and regrant it on recovery); adversarial degradations are
-/// not. Throws std::invalid_argument for monitors without a sharded
-/// deployment, plans with degradations, or shards > n.
+/// throw_on_error=false).
 RunResult run_sharded_scenario(const Scenario& scenario);
 
 }  // namespace topkmon::exp

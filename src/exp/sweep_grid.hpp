@@ -97,7 +97,8 @@ struct SweepGrid {
   /// malformed value, or an unknown axis name — the unknown-name message
   /// carries a did-you-mean hint (same edit-distance helper as the CLI's
   /// suite lookup).
-  void set_axis(const std::string& name, const std::vector<std::string>& values);
+  void set_axis(const std::string& name,
+                const std::vector<std::string>& values);
 };
 
 }  // namespace topkmon::exp

@@ -71,8 +71,8 @@ class CommStats {
   /// aggregation of a sharded deployment (core/root_merge.hpp) sums its
   /// shard clusters' counters this way. When `other` carries a per-step
   /// series it is merged element-wise (shorter series are zero-padded to
-  /// the longer length): the sharded runner begins every shard's steps in
-  /// lockstep, so per-shard series align by index and the sum is the
+  /// the longer length): a sharded deployment begins every shard's steps
+  /// in lockstep, so per-shard series align by index and the sum is the
   /// deployment-level per-step message count.
   void accumulate(const CommStats& other) {
     upstream_ += other.upstream_;

@@ -25,7 +25,9 @@ using harness::run_native;
 // Instant-network equivalence with the recorded twins, port by port
 // ---------------------------------------------------------------------------
 
-TEST(RolePorts, SlackMatchesLockstepAcrossGrid) { expect_goldens("slack_grid"); }
+TEST(RolePorts, SlackMatchesLockstepAcrossGrid) {
+  expect_goldens("slack_grid");
+}
 
 TEST(RolePorts, DominanceMatchesLockstepAcrossGrid) {
   expect_goldens("dominance_grid");

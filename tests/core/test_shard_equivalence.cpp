@@ -3,9 +3,10 @@
 //   1. shards = 1 is THE single-coordinator path, message-for-message:
 //      run_sharded_scenario with an inert root tier reproduces the
 //      monolithic run_scenario byte-identically — every message of every
-//      kind in every step, every protocol coin, every algorithm counter —
-//      across all three native monitors and across instant AND scheduled
-//      (delay / jitter / drop) networks.
+//      kind in every step, every protocol coin, every algorithm counter,
+//      every error step and recovery window — across all three native
+//      monitors, instant AND scheduled (delay / jitter / drop) networks,
+//      and dynamic-k and crash / recover / join plans.
 //   2. Sharded exactness: at any c under the instant network the
 //      deployment's answer equals the true global top-k every step
 //      (strict validation), including the quota edge cases (k < c forces
@@ -16,15 +17,17 @@
 //
 // Plus the sweep/CLI surface: the shards axis never enters the trial
 // seed (paired comparisons across c), set_axis rejects unknown names
-// with a did-you-mean hint, and `?shards=c` monitor params split
-// correctly. Suite names contain "Shard" so the TSan CI job picks the
-// concurrency-facing tests up by filter.
+// with a did-you-mean hint, `?shards=c` monitor params split correctly,
+// and caller-supplied streams run sharded too. Suite names contain
+// "Shard" so the TSan CI job picks the concurrency-facing tests up by
+// filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ground_truth.hpp"
@@ -35,6 +38,7 @@
 #include "exp/sweep_grid.hpp"
 #include "sim/network_model.hpp"
 #include "streams/factory.hpp"
+#include "streams/trace.hpp"
 
 namespace topkmon {
 namespace {
@@ -62,6 +66,19 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.steps_executed, b.steps_executed);
   EXPECT_EQ(a.error_steps, b.error_steps);
   EXPECT_EQ(a.correct, b.correct);
+  EXPECT_EQ(a.error_step_list, b.error_step_list);
+  EXPECT_EQ(a.recovery_ticks, b.recovery_ticks);
+  ASSERT_EQ(a.trace.has_value(), b.trace.has_value());
+  if (a.trace.has_value()) {
+    ASSERT_EQ(a.trace->steps(), b.trace->steps());
+    ASSERT_EQ(a.trace->nodes(), b.trace->nodes());
+    for (std::size_t t = 0; t < a.trace->steps(); ++t) {
+      for (NodeId id = 0; id < a.trace->nodes(); ++id) {
+        ASSERT_EQ(a.trace->at(t, id), b.trace->at(t, id))
+            << "t=" << t << " id=" << id;
+      }
+    }
+  }
 
   // Communication: every direction, every kind, every step.
   EXPECT_EQ(a.comm.upstream(), b.comm.upstream());
@@ -89,8 +106,13 @@ TEST(ShardEquivalence, ShardsOneMatchesMonolithicPath) {
   const std::vector<std::string> networks{"instant", "delay=1",
                                           "delay=1,jitter=2", "drop=0.2"};
   // Dynamic k too: the single shard rekeys at the monolithic point of the
-  // step, and the filter nodes learn each new k from the selection.
-  const std::vector<std::string> plans{"none", "churn?k=11@60,k=3@140"};
+  // step, and the filter nodes learn each new k from the selection. The
+  // membership plan opens non-trivial recovery windows (a crash, its
+  // recovery and a join block provisioned as join reserve).
+  const std::vector<std::string> plans{
+      "none", "churn?k=11@60,k=3@140",
+      "churn?crash=5@30,crash=20@50,recover=5@80,join=+4@100,"
+      "recover=20@150"};
   for (const auto& monitor : monitors) {
     for (const auto& network : networks) {
       for (const auto& faults : plans) {
@@ -99,6 +121,7 @@ TEST(ShardEquivalence, ShardsOneMatchesMonolithicPath) {
         sc.faults = faults;
         sc.shards = 1;
         sc.record_series = true;  // per-step message counts must match too
+        sc.record_trace = true;
         if (!sc.network.is_instant()) {
           // Scheduled networks degrade the answer exactly like monolithic
           // native runs; equal error_steps below pins the answers per step.
@@ -282,6 +305,44 @@ TEST(ShardScenario, MonitorParamOverridesScenarioField) {
   EXPECT_EQ(single.root_comm.total(), 0u);
 }
 
+TEST(ShardScenario, CallerStreamsMatchGeneratedStreams) {
+  // A hand-built TraceMatrix of the scenario's own generated values,
+  // replayed through the StreamSet& overload at c = 4, gives the run
+  // over the generated streams.
+  exp::Scenario sc = base_scenario("topk_filter", 64, 6, 11, 120);
+  sc.stream.family = StreamFamily::kRandomWalk;
+  sc.shards = 4;
+  StreamSet generated = make_stream_set(sc.stream, sc.n, sc.seed);
+  TraceMatrix trace(sc.n, sc.steps + 1);
+  std::vector<Value> row(sc.n);
+  for (std::size_t t = 0; t <= sc.steps; ++t) {
+    generated.advance_all(row);
+    for (NodeId id = 0; id < sc.n; ++id) trace.at(t, id) = row[id];
+  }
+
+  std::vector<std::vector<NodeId>> answers;
+  sc.on_step = [&](TimeStep, const std::vector<Value>&,
+                   const std::vector<NodeId>& topk) {
+    answers.push_back(topk);
+  };
+  const RunResult from_spec = exp::run_scenario(sc);
+  const std::vector<std::vector<NodeId>> spec_answers = std::move(answers);
+  answers.clear();
+  StreamSet replay = trace.to_stream_set();
+  const RunResult from_trace = exp::run_scenario(sc, replay);
+
+  EXPECT_GT(from_spec.root_comm.total(), 0u);
+  EXPECT_EQ(from_spec.comm.total(), from_trace.comm.total());
+  for (std::size_t kind = 0; kind < kNumMsgKinds; ++kind) {
+    EXPECT_EQ(from_spec.comm.by_kind(static_cast<MsgKind>(kind)),
+              from_trace.comm.by_kind(static_cast<MsgKind>(kind)));
+  }
+  EXPECT_EQ(from_spec.root_comm.total(), from_trace.root_comm.total());
+  EXPECT_EQ(from_spec.error_steps, from_trace.error_steps);
+  EXPECT_EQ(spec_answers.size(), sc.steps + 1);
+  EXPECT_EQ(spec_answers, answers);
+}
+
 TEST(ShardScenario, RejectsUnsupportedConfigurations) {
   // Adapter-backed monitors have no sharded deployment.
   exp::Scenario sc = base_scenario("recompute", 16, 4, 1, 10);
@@ -360,6 +421,10 @@ TEST(ShardRegistry, SplitShardsParam) {
                            std::size_t{2}));
   EXPECT_THROW(split_shards_param("topk_filter?shards=0"),
                std::invalid_argument);
+  // The Scenario field rejects 0 the same way.
+  exp::Scenario zero = base_scenario("topk_filter", 16, 4, 1, 10);
+  zero.shards = 0;
+  EXPECT_THROW(exp::run_scenario(zero), std::invalid_argument);
   EXPECT_THROW(split_shards_param("topk_filter?shards=x"),
                std::invalid_argument);
 }

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/root_merge.hpp"
 #include "exp/scenario.hpp"
 #include "sim/fault_plan.hpp"
 
@@ -87,6 +86,8 @@ TEST(FaultPlanSpec, RejectsMalformedSpecs) {
                std::invalid_argument);  // leave while down
   EXPECT_THROW(FaultPlan("churn?k=9@10", 8, 2, 1),
                std::invalid_argument);  // k > live nodes
+  EXPECT_THROW(FaultPlan("churn?k=0@10", 8, 2, 1),
+               std::invalid_argument);  // k = 0
   EXPECT_THROW(FaultPlan("none?x=1", 8, 2, 1), std::invalid_argument);
   EXPECT_THROW(FaultPlan("churn?crash=1@0", 8, 2, 1),
                std::invalid_argument);  // step 0 is initialization
@@ -634,27 +635,6 @@ TEST(FaultInjection, ShardedChurnIsWorkerCountInvariant) {
   EXPECT_EQ(a.error_step_list, b.error_step_list);
   EXPECT_EQ(a.recovery_ticks, b.recovery_ticks);
   EXPECT_EQ(a.monitor.resyncs, b.monitor.resyncs);
-}
-
-TEST(FaultInjection, ShardedSetKValidatesRange) {
-  ShardedSpec spec;
-  spec.n = 16;
-  spec.k = 4;
-  spec.shards = 2;
-  spec.seed = 3;
-  ShardedDeployment dep(spec);
-  for (NodeId id = 0; id < 16; ++id) {
-    dep.set_value(id, static_cast<Value>(id + 1));
-  }
-  dep.initialize();
-  EXPECT_THROW(dep.set_k(0), std::invalid_argument);
-  EXPECT_THROW(dep.set_k(17), std::invalid_argument);
-
-  // At c == 1 the single shard's driver applies k= plan events itself;
-  // there is no second route.
-  spec.shards = 1;
-  ShardedDeployment single(spec);
-  EXPECT_THROW(single.set_k(5), std::logic_error);
 }
 
 }  // namespace
